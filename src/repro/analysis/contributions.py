@@ -12,15 +12,16 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..capture.matching import DataTransaction
 from ..network.asn import AsnDirectory
 from ..stats.cdf import contribution_cdf, top_fraction_share
 from ..stats.se import StretchedExponentialFit, fit_stretched_exponential
 from ..stats.zipf import ZipfFit, fit_zipf
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 def requests_per_peer(transactions: Sequence[DataTransaction],

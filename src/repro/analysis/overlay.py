@@ -23,12 +23,13 @@ of peers with ``address``/``neighbors``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Set
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Set
 
 from ..network.asn import AsnDirectory
 from ..network.isp import ISPCategory
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 
 def overlay_graph(peers: Iterable, directory: AsnDirectory,
@@ -39,6 +40,7 @@ def overlay_graph(peers: Iterable, directory: AsnDirectory,
     exists when either endpoint lists the other as a neighbor.
     Infrastructure addresses are excluded.
     """
+    import networkx as nx
     graph = nx.Graph()
     peer_list = [p for p in peers
                  if getattr(p, "address", None) not in infrastructure]
@@ -86,6 +88,7 @@ def expected_intra_fraction(graph: nx.Graph) -> Optional[float]:
 
 def isp_modularity(graph: nx.Graph) -> Optional[float]:
     """Modularity of the ISP-category partition."""
+    import networkx as nx
     if graph.number_of_edges() == 0:
         return None
     communities: Dict[ISPCategory, Set[str]] = {}
@@ -97,6 +100,7 @@ def isp_modularity(graph: nx.Graph) -> Optional[float]:
 
 def isp_assortativity(graph: nx.Graph) -> Optional[float]:
     """Newman attribute assortativity over the ISP label."""
+    import networkx as nx
     if graph.number_of_edges() == 0:
         return None
     try:
@@ -146,6 +150,7 @@ def analyze_overlay(peers: Iterable, directory: AsnDirectory,
                     infrastructure: Set[str] = frozenset()
                     ) -> OverlayAnalysis:
     """Compute the full structural summary for one peer population."""
+    import networkx as nx
     graph = overlay_graph(peers, directory, infrastructure)
     clustering = (nx.average_clustering(graph)
                   if graph.number_of_nodes() > 0 else None)

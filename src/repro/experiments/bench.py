@@ -37,6 +37,7 @@ beyond a threshold; per-subsystem deltas point at the guilty layer.
 from __future__ import annotations
 
 import hashlib
+import importlib.metadata
 import json
 import platform as _platform
 import subprocess
@@ -67,15 +68,16 @@ def _environment() -> dict:
     """Host fingerprint stored next to ``git_rev`` in every artifact.
 
     Wall-clock numbers are only comparable when they were measured on
-    the same interpreter with the same fast-path dependencies;
-    ``diff_records`` warns (never fails) when two artifacts disagree
-    here, so a cross-machine comparison is flagged as apples-to-oranges
-    instead of read as a regression.
+    the same interpreter and platform; ``diff_records`` warns (never
+    fails) when two artifacts disagree here, so a cross-machine
+    comparison is flagged as apples-to-oranges instead of read as a
+    regression.  The installed numpy version (an analysis-only
+    dependency, never imported by the simulation) is read from the
+    package metadata and kept so every artifact carries the same keys.
     """
     try:
-        import numpy
-        numpy_version: Optional[str] = numpy.__version__
-    except ImportError:
+        numpy_version: Optional[str] = importlib.metadata.version("numpy")
+    except importlib.metadata.PackageNotFoundError:
         numpy_version = None
     return {
         "python_version": _platform.python_version(),

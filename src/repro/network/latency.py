@@ -33,21 +33,6 @@ from typing import Dict, List, Tuple
 from ..sim.random import RandomRouter, derive_seed
 from .isp import ISP, ISPCategory
 
-try:
-    # numpy is optional and only ever vectorises elementwise float64
-    # arithmetic (*, /, +, <) — operations IEEE 754 defines exactly, so
-    # results are bit-identical to the scalar path.  RNG draws and
-    # math.exp stay in pure Python on both paths: their sequences and
-    # roundings are part of the determinism contract.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via monkeypatching
-    _np = None
-
-#: Below this cohort size the numpy array round-trip (five list->array
-#: conversions plus ``.tolist()``) costs more than the scalar loop it
-#: replaces; measured crossover on CPython 3.11 sits near 48 elements.
-_NUMPY_MIN_BATCH = 48
-
 
 class PairClass(enum.Enum):
     INTRA_ISP = "intra_isp"
@@ -288,38 +273,20 @@ class LatencyModel:
         in item order, so the jitter stream advances identically to
         per-packet calls; base-RTT cache misses draw from their own
         per-pair forked streams and cannot perturb it.  The returned
-        delays are bit-identical to the scalar path: numpy (when
-        present, for cohorts worth the array round-trip) only performs
-        exactly-rounded elementwise arithmetic, while ``math.exp`` and
-        the gauss draws stay in Python either way.
+        delays are bit-identical to the per-packet calls.
         """
         gauss = self._jitter_rng.gauss
         sigma = self._jitter_sigma
         jitter_max = self._jitter_max
         exp = math.exp
         pair_params = self._pair_params
-        if (_np is not None and not self._overrides
-                and len(items) >= _NUMPY_MIN_BATCH):
-            base_rtt = self.base_rtt
-            bases = [base_rtt(addr_src, isp_src, addr_dst, isp_dst) / 2.0
-                     for addr_src, isp_src, addr_dst, isp_dst, _wire in items]
-            jitters = []
-            for _ in items:
-                jitter = exp(gauss(0.0, sigma))
-                jitters.append(jitter_max if jitter > jitter_max else jitter)
-            rates = [pair_params(isp_src, isp_dst)[2]
-                     for _a, isp_src, _b, isp_dst, _wire in items]
-            wires = [float(item[4]) for item in items]
-            delays = (_np.asarray(bases) * _np.asarray(jitters)
-                      + _np.asarray(wires) * 8.0 / _np.asarray(rates))
-            return delays.tolist()
         overrides_by_class = self._overrides
         base_cache = self._base_rtt_cache
         pair_cache = self._pair_cache
         out = []
         append = out.append
         if not overrides_by_class:
-            # Steady-state scalar loop, fused per item: the base-RTT
+            # Steady-state loop, fused per item: the base-RTT
             # and pair-parameter caches are probed inline and the
             # jitter draw happens right after — legal because cache
             # misses draw from per-pair forked streams, never from the
@@ -380,27 +347,23 @@ class LatencyModel:
 
         ``pairs`` holds ``(isp_src, isp_dst)`` tuples.  Exactly one loss
         draw per pair, in pair order — the loss stream advances exactly
-        as it would under per-packet calls.  The comparison is
-        bit-exact under numpy too (``<`` on float64 has one defined
-        answer), so both paths return identical verdicts.
+        as it would under per-packet calls.
         """
         pair_params = self._pair_params
         overrides_by_class = self._overrides
         random_draw = self._loss_rng.random
-        if not overrides_by_class and len(pairs) < _NUMPY_MIN_BATCH:
-            # Steady-state scalar loop, fused per pair: probability
-            # lookup and loss draw together, one draw per pair in pair
-            # order — the same stream positions as the phased path.
+        out = []
+        append = out.append
+        if not overrides_by_class:
+            # Steady-state loop: the pair-parameter cache is probed
+            # inline.
             pair_cache = self._pair_cache
-            out = []
-            append = out.append
             for isp_src, isp_dst in pairs:
                 params = pair_cache.get((isp_src.asn, isp_dst.asn))
                 if params is None:
                     params = pair_params(isp_src, isp_dst)
                 append(random_draw() < params[1])
             return out
-        probabilities = []
         for isp_src, isp_dst in pairs:
             pair_class, probability, _ = pair_params(isp_src, isp_dst)
             overrides = overrides_by_class.get(pair_class)
@@ -409,13 +372,8 @@ class LatencyModel:
                     probability = (probability * override.loss_multiplier
                                    + override.extra_loss)
                 probability = min(probability, 1.0)
-            probabilities.append(probability)
-        draws = [random_draw() for _ in probabilities]
-        if _np is not None and len(pairs) >= _NUMPY_MIN_BATCH:
-            lost = _np.asarray(draws) < _np.asarray(probabilities)
-            return lost.tolist()
-        return [draw < probability
-                for draw, probability in zip(draws, probabilities)]
+            append(random_draw() < probability)
+        return out
 
     def cache_size(self) -> int:
         """Number of pairwise base RTTs drawn so far (test/diagnostic)."""

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import TYPE_CHECKING, Sequence, Tuple
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 def empirical_cdf(values: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
     """Return ``(sorted values, P(X <= value))`` for plotting an ECDF."""
+    import numpy as np
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError("cannot build a CDF from no data")
@@ -31,6 +33,7 @@ def contribution_cdf(values: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
     by descending contribution — the quantity plotted in the paper's
     Figures 11-14(c).
     """
+    import numpy as np
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError("cannot build a contribution CDF from no data")
@@ -54,6 +57,7 @@ def top_fraction_share(values: Sequence[float],
     ``ceil(fraction * n)`` so small populations round up, as the paper's
     "top 10% of 326 peers" style statements do.
     """
+    import numpy as np
     if not 0 < fraction <= 1:
         raise ValueError("fraction must be in (0, 1]")
     arr = np.asarray(values, dtype=float)

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from .fitting import LinearFit, least_squares_line
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Pearson correlation coefficient of two equal-length sequences."""
+    import numpy as np
     x_arr = np.asarray(x, dtype=float)
     y_arr = np.asarray(y, dtype=float)
     if x_arr.shape != y_arr.shape:
@@ -37,6 +36,7 @@ def log_log_correlation(x: Sequence[float], y: Sequence[float]) -> float:
     Pairs where either value is non-positive are dropped, mirroring how
     log-scale plots silently discard them.
     """
+    import numpy as np
     x_arr = np.asarray(x, dtype=float)
     y_arr = np.asarray(y, dtype=float)
     if x_arr.shape != y_arr.shape:
@@ -54,6 +54,7 @@ def log_linear_fit(x: Sequence[float],
     Used for the "linear fit in log scale" line through the RTT-vs-rank
     scatter in Figures 15-18.
     """
+    import numpy as np
     y_arr = np.asarray(y, dtype=float)
     x_arr = np.asarray(x, dtype=float)
     mask = y_arr > 0

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import TYPE_CHECKING, Sequence, Tuple
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -17,12 +18,14 @@ class LinearFit:
     r_squared: float
 
     def predict(self, x: np.ndarray) -> np.ndarray:
+        import numpy as np
         return self.slope * np.asarray(x, dtype=float) + self.intercept
 
 
 def least_squares_line(x: Sequence[float],
                        y: Sequence[float]) -> LinearFit:
     """Fit ``y = slope*x + intercept`` and report R^2 in the same space."""
+    import numpy as np
     x_arr = np.asarray(x, dtype=float)
     y_arr = np.asarray(y, dtype=float)
     if x_arr.shape != y_arr.shape:
@@ -43,6 +46,7 @@ def least_squares_line(x: Sequence[float],
 def r_squared(observed: Sequence[float],
               predicted: Sequence[float]) -> float:
     """Coefficient of determination of ``predicted`` against ``observed``."""
+    import numpy as np
     obs = np.asarray(observed, dtype=float)
     pred = np.asarray(predicted, dtype=float)
     if obs.shape != pred.shape:
@@ -56,6 +60,7 @@ def r_squared(observed: Sequence[float],
 
 def rank_values(values: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
     """Sort ``values`` descending and return (ranks starting at 1, values)."""
+    import numpy as np
     arr = np.asarray(sorted(values, reverse=True), dtype=float)
     if arr.size == 0:
         raise ValueError("cannot rank an empty sequence")

@@ -19,11 +19,12 @@ paper's Figures 11-14(b).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .fitting import least_squares_line, r_squared, rank_values
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -39,6 +40,7 @@ class StretchedExponentialFit:
 
     def predict(self, ranks: Sequence[float]) -> np.ndarray:
         """Predicted values at ``ranks`` (clipped at zero before the root)."""
+        import numpy as np
         ranks_arr = np.asarray(ranks, dtype=float)
         transformed = -self.a * np.log(ranks_arr) + self.b
         return np.clip(transformed, 0.0, None) ** (1.0 / self.c)
@@ -67,6 +69,7 @@ def fit_stretched_exponential(
     matching the granularity the paper reports, e.g. c = 0.2, 0.3, 0.35,
     0.4) to maximise R² in the transformed space.
     """
+    import numpy as np
     ranks, ordered = rank_values(values)
     positive = ordered[ordered > 0]
     if positive.size < 3:
@@ -87,12 +90,14 @@ def fit_stretched_exponential(
 def se_rank_curve(fit: StretchedExponentialFit,
                   n: Optional[int] = None) -> np.ndarray:
     """The fitted curve evaluated at ranks ``1..n`` (default: fit.n)."""
+    import numpy as np
     count = n if n is not None else fit.n
     return fit.predict(np.arange(1, count + 1, dtype=float))
 
 
 def weibull_ccdf(x: np.ndarray, x0: float, c: float) -> np.ndarray:
     """The Weibull CCDF ``exp(-(x/x0)^c)`` corresponding to an SE law."""
+    import numpy as np
     if x0 <= 0 or c <= 0:
         raise ValueError("x0 and c must be positive")
     x_arr = np.asarray(x, dtype=float)

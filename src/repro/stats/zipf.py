@@ -10,11 +10,12 @@ so experiments can report both R² values side by side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .fitting import least_squares_line, r_squared, rank_values
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -27,12 +28,14 @@ class ZipfFit:
     r_squared: float
 
     def predict(self, ranks: Sequence[float]) -> np.ndarray:
+        import numpy as np
         ranks_arr = np.asarray(ranks, dtype=float)
         return self.scale * ranks_arr ** -self.alpha
 
 
 def fit_zipf(values: Sequence[float]) -> ZipfFit:
     """Fit a Zipf law to positive ``values`` (any order; ranked inside)."""
+    import numpy as np
     ranks, ordered = rank_values(values)
     if np.any(ordered <= 0):
         positive = ordered[ordered > 0]

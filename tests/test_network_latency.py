@@ -4,8 +4,7 @@ import pytest
 
 from repro.network.isp import ISP, ISPCategory, default_isp_catalog
 from repro.network.latency import (LatencyConfig, LatencyModel, PairClass,
-                                   RttBand, classify_pair)
-from repro.network import latency as latency_module
+                                   PathOverride, RttBand, classify_pair)
 
 
 @pytest.fixture
@@ -156,10 +155,8 @@ class TestBatchEquivalence:
 
     ``one_way_delays`` / ``are_lost`` promise the exact floats and
     verdicts of the equivalent per-packet call sequence: one draw per
-    item in item order on each RNG stream, with numpy (when present)
-    used only for exactly-rounded elementwise arithmetic.  Each case
-    runs both a cohort below the numpy crossover (scalar fallback) and
-    one far above it.
+    item in item order on each RNG stream.  Each case runs a small
+    cohort and one far larger than any protocol fan-out.
     """
 
     COUNTS = (3, 200)
@@ -190,17 +187,27 @@ class TestBatchEquivalence:
             assert (list(batched.are_lost(pairs))
                     == [reference.is_lost(a, b) for a, b in pairs])
 
-    @pytest.mark.skipif(latency_module._np is None,
-                        reason="numpy unavailable")
-    def test_batches_identical_with_and_without_numpy(self, catalog,
-                                                      monkeypatch):
+    def test_override_cohort_matches_per_packet_reference(self, catalog):
+        """A pushed :class:`PathOverride` routes both helpers through
+        their override arm, which must still match per-packet calls.
+
+        Half the cohort crosses the overridden CERNET gateway and half
+        does not, so the arm's per-class lookup is exercised both ways.
+        """
+        override = PathOverride(loss_multiplier=3.0, extra_loss=0.2,
+                                latency_multiplier=1.5,
+                                bandwidth_multiplier=0.25)
         items = self._items(catalog, 200)
         pairs = [(item[1], item[3]) for item in items]
-        with_numpy = LatencyModel(LatencyConfig(), master_seed=5)
-        numpy_delays = with_numpy.one_way_delays(items)
-        numpy_lost = list(with_numpy.are_lost(pairs))
-        with monkeypatch.context() as patch:
-            patch.setattr(latency_module, "_np", None)
-            scalar = LatencyModel(LatencyConfig(), master_seed=5)
-            assert scalar.one_way_delays(items) == numpy_delays
-            assert list(scalar.are_lost(pairs)) == numpy_lost
+        batched = LatencyModel(LatencyConfig(), master_seed=5)
+        reference = LatencyModel(LatencyConfig(), master_seed=5)
+        for model in (batched, reference):
+            model.push_override(PairClass.CERNET_GATEWAY, override)
+        delays = batched.one_way_delays(items)
+        assert delays == [reference.one_way_delay(*item) for item in items]
+        lost = batched.are_lost(pairs)
+        assert lost == [reference.is_lost(a, b) for a, b in pairs]
+        # The override changed the draws' outcome, not just their count.
+        plain = LatencyModel(LatencyConfig(), master_seed=5)
+        assert plain.one_way_delays(items) != delays
+        assert plain.are_lost(pairs) != lost
