@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional
 
-from ..fastpath import reference_path_enabled
 from ..obs import DEBUG, WARNING, Instrumentation
 from ..obs import resolve as resolve_obs
 from ..sim.engine import Simulator
@@ -110,9 +109,10 @@ class Host:
     def send_many(self, sends: List[tuple]) -> None:
         """Transmit a cohort of ``(dst, payload, payload_bytes)`` triples.
 
-        Semantically identical to calling :meth:`send` per triple in
-        order; the network batches the per-datagram bookkeeping and RNG
-        draws (see :meth:`UdpNetwork.send_many`).
+        Each datagram's fate and delivery time, and each RNG stream's
+        draw order, are those of calling :meth:`send` per triple in
+        order; only taps of different kinds fire grouped by phase (see
+        :meth:`UdpNetwork.send_many`).
         """
         self.network.send_many(self, sends)
 
@@ -152,9 +152,6 @@ class UdpNetwork:
         #: handed over instead of recomputed (see set_flow_sink).
         self._flow_sink: Optional[Callable[[Datagram, float, int], None]] \
             = None
-        #: Sampled at construction (see repro.fastpath): when set, the
-        #: cohort send path degrades to per-datagram reference sends.
-        self._reference_path = reference_path_enabled()
         self.datagrams_sent = 0
         self.datagrams_delivered = 0
         self.datagrams_lost = 0
@@ -384,24 +381,27 @@ class UdpNetwork:
         """Send a cohort of datagrams from one host in a single pass.
 
         ``sends`` holds ``(dst, payload, payload_bytes)`` triples in
-        transmit order.  Byte-identical in outcome to calling
-        :meth:`send` once per triple: the uplink arithmetic runs first
-        for every datagram (in order, no RNG), then the loss draws for
-        the uplink survivors, then the jitter draws for the unlost —
-        and because loss and jitter live on separate RNG streams, each
-        stream still sees its draws in exact per-packet order.  What
-        changes is wall-clock cost: per-datagram bookkeeping is
-        amortised over the cohort, the draws are batched through
+        transmit order.  The pipeline runs in phases over the cohort:
+        the uplink arithmetic for every datagram (in order, no RNG),
+        then the loss draws for the uplink survivors, then the jitter
+        draws for the unlost, batched through
         :meth:`LatencyModel.are_lost` / :meth:`~LatencyModel.
-        one_way_delays`, and deliveries landing on the same timestamp
-        collapse into one cohort event (each member still counted in
-        ``events_executed``, so engine digests match the unbatched
-        path).  ``REPRO_REFERENCE_PATH=1`` forces the per-datagram
-        reference path instead.  Within-cohort trace/tap emission
-        groups by phase rather than by packet; event outcomes and
-        counters are unaffected.
+        one_way_delays`.  Against calling :meth:`send` once per triple:
+
+        * identical: each datagram's fate (tail drop, loss, delivery)
+          and delivery time, every counter, the draw order of each RNG
+          stream (loss and jitter live on separate streams, so phasing
+          cannot interleave them), and the order in which taps see
+          events of any one kind;
+        * not identical: taps of *different* kinds fire grouped by
+          phase (every ``send`` and ``drop_uplink`` of the cohort before
+          its first ``drop_loss``), not packet by packet.  Traces and
+          spans group the same way.
+
+        Each surviving datagram is posted as its own ``udp-deliver``
+        event, in cohort order.
         """
-        if self._reference_path or len(sends) < 2:
+        if len(sends) < 2:
             for dst, payload, payload_bytes in sends:
                 self.send(src_host, dst, payload, payload_bytes)
             return
@@ -497,40 +497,9 @@ class UdpNetwork:
         delays = latency.one_way_delays(items)
         post = sim.post
         deliver = self._deliver
-        # Group same-timestamp deliveries into one cohort event.  All
-        # cohort members were scheduled back to back, so merging
-        # equal-time members preserves their relative (seq) order; ties
-        # against events scheduled elsewhere are unaffected.
-        groups: Dict[float, list] = {}
-        order = []
         for entry, propagation in zip(alive, delays):
-            deliver_at = now + entry[2] + propagation
-            bucket = groups.get(deliver_at)
-            if bucket is None:
-                groups[deliver_at] = [entry[0]]
-                order.append(deliver_at)
-            else:
-                bucket.append(entry[0])
-        for deliver_at in order:
-            bucket = groups[deliver_at]
-            if len(bucket) == 1:
-                post(deliver_at, deliver, bucket[0], label="udp-deliver")
-            else:
-                post(deliver_at, self._deliver_cohort, bucket,
-                     label="udp-deliver")
-
-    def _deliver_cohort(self, datagrams: list) -> None:
-        """Deliver a same-timestamp cohort scheduled as one event.
-
-        Every member past the first is folded into ``events_executed``
-        here, so the engine's event ledger (and the golden digests built
-        on it) is identical whether the cohort was dispatched as one
-        batched callback or as individual delivery events.
-        """
-        self.sim.events_executed += len(datagrams) - 1
-        deliver = self._deliver
-        for datagram in datagrams:
-            deliver(datagram)
+            post(now + entry[2] + propagation, deliver, entry[0],
+                 label="udp-deliver")
 
     def _deliver(self, datagram: Datagram) -> None:
         host = self._hosts.get(datagram.dst)

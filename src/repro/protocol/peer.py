@@ -323,11 +323,6 @@ class PPLivePeer(Host):
         self._scheduler_rng.setstate(state["scheduler_rng"])
         self.pool.restore_state(state["pool"])
         self.neighbors.restore_state(state["neighbors"])
-        if self.scheduler is not None:
-            # Neighbor state was rewritten underneath the scheduler:
-            # its incremental fast-path caches must rebuild from the
-            # restored epochs, not the pre-restore ones.
-            self.scheduler.invalidate_caches()
         self._flood_seq = state.get("flood_seq", _FLOOD_SEQ_BASE)
         limiter_state = state.get("rate_limiter")
         if limiter_state is None:

@@ -87,19 +87,3 @@ class TestCampaignGoldens:
         assert (hashlib.sha256(text.encode()).hexdigest()
                 == GOLDEN_TABLE_DIGEST)
         assert _series_digest(result) == GOLDEN_SERIES_DIGEST
-
-    def test_reference_path_reproduces_the_goldens(self, monkeypatch):
-        # REPRO_REFERENCE_PATH is sampled when schedulers/transports
-        # are constructed, so a campaign started under the variable
-        # runs the unbatched reference dispatch and the full-rebuild
-        # scheduler everywhere — and must land on the exact same
-        # goldens as the optimised fast path (see repro.fastpath).
-        monkeypatch.setenv("REPRO_REFERENCE_PATH", "1")
-        result = run_campaign(GOLDEN_CONFIG())
-        text = Figure6(result=result).render()
-        assert (hashlib.sha256(text.encode()).hexdigest()
-                == GOLDEN_TABLE_DIGEST), (
-            "reference path diverged from the fast-path goldens; the "
-            f"two implementations are no longer equivalent.  Rendered:"
-            f"\n{text}")
-        assert _series_digest(result) == GOLDEN_SERIES_DIGEST

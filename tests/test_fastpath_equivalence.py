@@ -103,35 +103,6 @@ class TestSessionEquivalence:
         assert tapped == plain
 
 
-class TestPathSelectionEquivalence:
-    """The env switches flip implementations, never outcomes.
-
-    ``REPRO_REFERENCE_PATH=1`` forces the unbatched dispatch and the
-    full-rebuild scheduler; ``REPRO_FASTPATH_VERIFY=1`` runs the fast
-    paths while asserting them against a from-scratch rebuild on every
-    use.  Both are sampled at construction time, so a freshly built
-    session under either variable must reproduce the fast path's
-    deterministic counters exactly.
-    """
-
-    def test_reference_path_matches_fast_path(self, monkeypatch):
-        fast = _counters(_run())
-        monkeypatch.setenv("REPRO_REFERENCE_PATH", "1")
-        assert _counters(_run()) == fast
-
-    def test_verify_mode_matches_fast_path(self, monkeypatch):
-        fast = _counters(_run())
-        monkeypatch.setenv("REPRO_FASTPATH_VERIFY", "1")
-        assert _counters(_run()) == fast
-
-    def test_reference_path_matches_under_faults(self, monkeypatch):
-        # Cooldowns, loss overrides and fault drops exercise every
-        # invalidation edge of the incremental scheduler view.
-        fast = _counters(_run(faults=_fault_schedule()))
-        monkeypatch.setenv("REPRO_REFERENCE_PATH", "1")
-        assert _counters(_run(faults=_fault_schedule())) == fast
-
-
 class TestCampaignEquivalence:
     CONFIG = dict(seed=11, days=2, popular_population=8,
                   unpopular_population=5, session_duration=90.0,

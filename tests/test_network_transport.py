@@ -6,6 +6,7 @@ from repro.network.bandwidth import (ADSL, SERVER, AccessProfile,
                                      UplinkQueue)
 from repro.network.builder import build_internet
 from repro.network.datagram import HEADER_BYTES
+from repro.network.latency import PairClass, PathOverride
 from repro.network.transport import Host
 from repro.sim import Simulator
 
@@ -294,3 +295,91 @@ class TestTransport:
         base = internet.udp.online_count
         b.go_offline()
         assert internet.udp.online_count == base - 1
+
+
+class TestSendManyMatchesSend:
+    """A ``send_many`` cohort against the same triples sent one by one.
+
+    The cohort covers every per-datagram fate: delivery, an unknown
+    destination (no loss draw, dropped offline at delivery), a loss
+    forced by a :class:`PathOverride`, and uplink tail drops behind a
+    datagram that overfills the backlog.
+    """
+
+    UNKNOWN = "203.0.113.9"
+
+    @staticmethod
+    def _world():
+        sim = Simulator(seed=5)
+        internet = build_internet(sim)
+        tele = internet.catalog.by_name("ChinaTelecom")
+        cnc = internet.catalog.by_name("ChinaNetcom")
+        narrow = AccessProfile("narrow", 1e6, 100_000.0, max_backlog=0.5)
+        log = []
+
+        class Logger(Host):
+            def handle_datagram(self, datagram):
+                log.append((self.address, datagram.payload, sim.now))
+
+        sender = Logger(sim, internet.udp, internet.allocator.allocate(tele),
+                        tele, narrow)
+        near = Logger(sim, internet.udp, internet.allocator.allocate(tele),
+                      tele, SERVER)
+        far = Logger(sim, internet.udp, internet.allocator.allocate(cnc),
+                     cnc, SERVER)
+        for host in (sender, near, far):
+            host.go_online()
+        internet.latency.push_override(PairClass.TELE_CNC_PEERING,
+                                       PathOverride(extra_loss=1.0))
+        taps = {}
+        internet.udp.add_tap(lambda kind, d, t: taps.setdefault(
+            kind, []).append((d.dst, d.payload, t)))
+        triples = [
+            (near.address, "a", 200),
+            (far.address, "b", 200),       # lost: the override
+            (TestSendManyMatchesSend.UNKNOWN, "c", 200),
+            (near.address, "d", 200),
+            (near.address, "big", 10_000),  # overfills the backlog
+            (far.address, "e", 200),       # tail-dropped
+            (near.address, "f", 200),      # tail-dropped
+        ]
+        return sim, internet, sender, triples, log, taps
+
+    @staticmethod
+    def _outcome(sim, internet, log, taps):
+        udp = internet.udp
+        latency = internet.latency
+        return {
+            "counters": (sim.events_executed, udp.datagrams_sent,
+                         udp.datagrams_delivered, udp.datagrams_lost,
+                         udp.datagrams_dropped_uplink,
+                         udp.datagrams_dropped_offline,
+                         udp.datagrams_dropped_fault,
+                         udp.bytes_delivered),
+            "delivered": log,
+            "jitter_rng": latency._jitter_rng.getstate(),
+            "loss_rng": latency._loss_rng.getstate(),
+            "taps": taps,
+        }
+
+    def test_cohort_matches_one_by_one(self):
+        sim, internet, sender, triples, log, taps = self._world()
+        sender.send_many(triples)
+        sim.run()
+        cohort = self._outcome(sim, internet, log, taps)
+
+        sim, internet, sender, triples, log, taps = self._world()
+        for dst, payload, payload_bytes in triples:
+            sender.send(dst, payload, payload_bytes)
+        sim.run()
+        single = self._outcome(sim, internet, log, taps)
+
+        assert cohort == single
+        # Every fate really occurred, so each branch was compared.
+        udp = internet.udp
+        assert udp.datagrams_lost == 1
+        assert udp.datagrams_dropped_uplink == 2
+        assert udp.datagrams_dropped_offline == 1
+        assert [payload for _a, payload, _t in log] == ["a", "d", "big"]
+        assert [payload for _d, payload, _t in taps["drop_uplink"]] \
+            == ["e", "f"]

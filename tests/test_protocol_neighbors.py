@@ -34,13 +34,6 @@ class TestAvailability:
         state.record_availability(10, now=0.0)
         assert state.estimated_have(0.0, 4.0, 1.0, 2, max_progress=0) == 8
 
-    def test_can_serve_respects_have_from(self):
-        state = make_state()
-        state.record_availability(20, now=0.0, have_from=15)
-        assert state.can_serve(17, 0.0, 4.0, 1.0, 0, 0)
-        assert not state.can_serve(10, 0.0, 4.0, 1.0, 0, 0)
-        assert not state.can_serve(25, 0.0, 4.0, 1.0, 0, 0)
-
     def test_miss_grows_bias_and_report_decays_it(self):
         state = make_state()
         state.record_availability(10, now=0.0)
@@ -106,14 +99,6 @@ class TestTable:
         a.last_heard = 100.0
         b.last_heard = 5.0
         assert table.silent_since(50.0) == ["1.0.0.2"]
-
-    def test_with_data_capacity(self):
-        table = NeighborTable(capacity=4)
-        a = table.add("1.0.0.1", now=0.0)
-        b = table.add("1.0.0.2", now=0.0)
-        a.inflight = 3
-        available = table.with_data_capacity(per_neighbor_limit=3)
-        assert [s.address for s in available] == ["1.0.0.2"]
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):

@@ -226,3 +226,109 @@ class TestResolution:
         assert h.scheduler.inflight == 0
         assert state.inflight == 0
         assert h.scheduler.buffer is new_buffer
+
+
+class TestSaturatedMemo:
+    """A chunk whose missing sub-pieces are all in flight is skipped
+    without a scan until a request over it settles or the buffer is
+    replaced."""
+
+    @pytest.fixture
+    def config(self):
+        # One request covers a whole chunk, so one request saturates it.
+        return ProtocolConfig(subpieces_per_request=4,
+                              per_neighbor_inflight=2, total_inflight=8,
+                              data_timeout=2.0, exploration_epsilon=0.0)
+
+    @staticmethod
+    def _saturated(geometry, config):
+        h = Harness(geometry, config)
+        h.add_neighbor("n1", have_until=2)
+        # live_chunk=0 puts chunk 0 alone in the window.
+        h.scheduler.tick(live_chunk=0, playout_chunk=-1)
+        assert [sent[:4] for sent in h.sent] == [("n1", 0, 0, 3)]
+        return h
+
+    def test_fully_requested_chunk_is_not_rescanned(self, geometry, config):
+        h = self._saturated(geometry, config)
+        scanned = []
+        scan = h.scheduler._next_missing_run
+        h.scheduler._next_missing_run = \
+            lambda chunk: scanned.append(chunk) or scan(chunk)
+        h.scheduler.tick(live_chunk=0, playout_chunk=-1)
+        assert scanned == []
+        assert len(h.sent) == 1
+
+    @pytest.mark.parametrize("outcome", ["timeout", "miss", "poisoned"])
+    def test_settled_range_is_planned_again(self, geometry, config,
+                                            outcome):
+        h = self._saturated(geometry, config)
+        seq = h.sent[0][4]
+        if outcome == "timeout":
+            h.sim.run_until(config.data_timeout + 0.1)
+        elif outcome == "miss":
+            h.scheduler.on_miss(seq, have_until=2)
+        else:
+            assert h.scheduler.on_poisoned(seq)
+        assert h.scheduler.inflight == 0
+        # Every outcome cools n1 down; tick once it is usable again.
+        h.sim.run_until(h.sim.now + config.timeout_cooldown + 0.1)
+        h.scheduler.tick(live_chunk=0, playout_chunk=-1)
+        assert [sent[:4] for sent in h.sent[1:]] == [("n1", 0, 0, 3)]
+
+    def test_reset_for_buffer_forgets_saturation(self, geometry, config):
+        h = Harness(geometry, config)
+        # Chunk 1 arrived ahead of chunk 0: nothing of it is missing, so
+        # the memo holds it with no request in flight to settle.
+        h.buffer.add_range(1, 0, 3)
+        h.add_neighbor("n1", have_until=2)
+        h.scheduler.tick(live_chunk=1, playout_chunk=-1)
+        assert [sent[:4] for sent in h.sent] == [("n1", 0, 0, 3)]
+        h.scheduler.reset_for_buffer(ChunkBuffer(geometry, first_chunk=0))
+        h.scheduler.tick(live_chunk=1, playout_chunk=-1)
+        assert [sent[:4] for sent in h.sent[1:]] == [("n1", 0, 0, 3),
+                                                     ("n1", 1, 0, 3)]
+
+
+class TestExtrapolatedAvailability:
+    """With ``max_extrapolation_chunks`` set, the extrapolated estimate
+    decides both which chunks a neighbor is eligible for and which go
+    to the source first, without a neighbor pick."""
+
+    SOURCE = "9.9.9.9"
+
+    @staticmethod
+    def _plan(geometry, now, max_extrapolation_chunks=3, urgent_until=10):
+        config = ProtocolConfig(
+            subpieces_per_request=4, per_neighbor_inflight=10,
+            total_inflight=20, exploration_epsilon=0.0,
+            max_extrapolation_chunks=max_extrapolation_chunks)
+        h = Harness(geometry, config, first_chunk=5,
+                    source_address=TestExtrapolatedAvailability.SOURCE)
+        # Reported at t=0; at slope 1 it gains a chunk every 4 s.
+        h.add_neighbor("n1", have_until=5)
+        h.sim.run_until(now)
+        h.scheduler.tick(live_chunk=10, playout_chunk=4,
+                         urgent_until=urgent_until)
+        plan = {}
+        for address, chunk, _first, _last, _seq in h.sent:
+            plan.setdefault(address, []).append(chunk)
+        return plan
+
+    @pytest.mark.parametrize("now, extrapolation, neighbor_chunks", [
+        (0.0, 3, [5]),
+        (8.0, 3, [5, 6, 7]),
+        (40.0, 3, [5, 6, 7, 8]),  # progress capped at 3 chunks
+        (40.0, 0, [5]),           # extrapolation off: the report alone
+    ])
+    def test_estimate_splits_neighbor_and_source(self, geometry, now,
+                                                 extrapolation,
+                                                 neighbor_chunks):
+        plan = self._plan(geometry, now, extrapolation)
+        assert plan["n1"] == neighbor_chunks
+        assert plan[self.SOURCE] == [chunk for chunk in range(5, 11)
+                                     if chunk not in neighbor_chunks]
+
+    def test_non_urgent_chunks_beyond_estimate_are_left(self, geometry):
+        plan = self._plan(geometry, 8.0, urgent_until=8)
+        assert plan == {"n1": [5, 6, 7], self.SOURCE: [8]}
