@@ -1,36 +1,37 @@
-"""Directory layout of a resumable campaign checkpoint.
+"""Directory layout of a resumable checkpoint.
 
 A checkpoint is a directory, not a single file, because the unit of
-restart is the campaign's (program, day) simulation unit::
+restart is one simulation unit: a campaign (program, day) or a
+resilience sweep cell::
 
     <root>/
       campaign.json            # manifest: config digest, seed, shape
       units/popular-0000.json  # one digest-stamped artifact per
-      units/unpopular-0003.json  # completed unit
+      units/unpopular-0003.json  # completed unit (cell-0001.json, ...)
 
 Each artifact uses the :mod:`repro.checkpoint.format` envelope and is
 written atomically, so a kill at any instant loses at most the units
 completed since the last flush — never the directory's integrity.  Every
-artifact embeds the campaign *config digest*: resuming with a different
+artifact embeds the run's *config digest*: resuming with a different
 seed, day count, population, fault schedule or model knob fails with
 :class:`CheckpointError` instead of silently splicing incompatible
 results together.
 
 The store never holds more than one unit artifact in memory at a time
-(:meth:`CampaignCheckpointStore.iter_units` is a generator), which is
-what keeps a month-scale resume at constant RSS.
+(:meth:`UnitCheckpointStore.iter_units` is a generator), which is what
+keeps a month-scale resume at constant RSS.
 """
 
 from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import Dict, Iterator, Tuple, Union
+from typing import Iterator, Tuple, Union
 
 from .format import (CheckpointError, payload_digest, read_artifact,
                      write_artifact)
 
-#: Artifact kinds used by the campaign store.
+#: Artifact kinds (named for the campaign, the first store user).
 KIND_MANIFEST = "campaign-manifest"
 KIND_UNIT = "campaign-unit"
 
@@ -39,13 +40,19 @@ UNITS_DIR = "units"
 
 _UNIT_FILE = re.compile(r"^(?P<popularity>[a-z]+)-(?P<day>\d{4})\.json$")
 
-#: A campaign unit key: ``(popularity value, day index)`` — the same
-#: key the parallel job runner merges by.
+#: A unit key: ``(name, index)``, e.g. ``("popular", 3)`` or
+#: ``("cell", 1)`` — the same key the parallel job runner merges by.
 UnitKey = Tuple[str, int]
 
 
-class CampaignCheckpointStore:
-    """Reads and writes one campaign checkpoint directory."""
+def unit_stem(key: UnitKey) -> str:
+    """A unit's artifact file stem: ``popular-0003``, ``cell-0001``."""
+    name, index = key
+    return f"{name}-{index:04d}"
+
+
+class UnitCheckpointStore:
+    """Reads and writes one checkpoint directory."""
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
@@ -62,19 +69,18 @@ class CampaignCheckpointStore:
         return self.root / UNITS_DIR
 
     def unit_path(self, key: UnitKey) -> Path:
-        popularity, day = key
-        return self.units_dir / f"{popularity}-{day:04d}.json"
+        return self.units_dir / f"{unit_stem(key)}.json"
 
     # ------------------------------------------------------------------
     # Manifest
     # ------------------------------------------------------------------
     def initialize(self, config_digest: str, *, seed: int, days: int,
                    total_units: int) -> None:
-        """Write the manifest for a fresh (or restarted) campaign.
+        """Write the manifest for a fresh (or restarted) run.
 
         Any unit artifacts already in the directory are removed first: a
-        fresh ``--checkpoint`` run must never splice in days from an
-        earlier campaign that happened to share the directory.
+        fresh ``--checkpoint`` run must never splice in units from an
+        earlier run that happened to share the directory.
         """
         if self.units_dir.is_dir():
             for stale in self.units_dir.glob("*.json"):
@@ -89,11 +95,11 @@ class CampaignCheckpointStore:
 
         ``config_digest`` is the digest of the configuration the caller
         is about to run; a mismatch means the checkpoint belongs to a
-        *different* campaign and resuming would be silently wrong.
+        *different* run and resuming would be silently wrong.
         """
         if not self.manifest_path.exists():
             raise CheckpointError(
-                f"no campaign checkpoint at {self.root} (missing "
+                f"no checkpoint at {self.root} (missing "
                 f"{MANIFEST_NAME}); start one with --checkpoint")
         manifest = read_artifact(self.manifest_path, KIND_MANIFEST)
         if manifest.get("config_digest") != config_digest:
@@ -133,7 +139,7 @@ class CampaignCheckpointStore:
             if match is None:
                 raise CheckpointError(
                     f"unexpected file in checkpoint unit directory: "
-                    f"{path} (not a campaign unit artifact)")
+                    f"{path} (not a unit artifact)")
             payload = read_artifact(path, KIND_UNIT)
             key = (payload.get("popularity"), payload.get("day"))
             named = (match.group("popularity"),
@@ -147,11 +153,6 @@ class CampaignCheckpointStore:
                     f"stale checkpoint unit {path}: written for a "
                     f"different campaign configuration")
             yield key, payload
-
-    def load_units(self, config_digest: str) -> Dict[UnitKey, dict]:
-        """All persisted units as ``{key: payload}`` (small: the heavy
-        state stays on disk; payloads are day summaries)."""
-        return dict(self.iter_units(config_digest))
 
 
 def config_digest_of(fields: dict) -> str:

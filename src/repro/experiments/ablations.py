@@ -99,24 +99,14 @@ def _measure(config: ScenarioConfig, label: str) -> AblationPoint:
         if probe.peer.player is not None else 0.0)
 
 
-def _measure_job(config: ScenarioConfig, label: str) -> AblationPoint:
-    """Worker entry point: instrumentation stays with the parent."""
-    return _measure(dataclasses.replace(config, instrumentation=None),
-                    label)
-
-
 def _measure_all(labelled: Sequence[Tuple[str, ScenarioConfig]],
                  jobs: int = 1) -> List[AblationPoint]:
-    """Measure every (label, config) grid point, serial or fanned out.
+    """Measure every (label, config) grid point, in input order.
 
     Points are independent simulations seeded by their own configs, so
-    the output — always in input order — is identical for every
-    ``jobs`` value.
+    the output is identical for every ``jobs`` value.
     """
-    if jobs <= 1:
-        return [_measure(config, label) for label, config in labelled]
-    merged = run_jobs([Job(key=label, fn=_measure_job,
-                           args=(config, label))
+    merged = run_jobs([Job(key=label, fn=_measure, args=(config, label))
                        for label, config in labelled], workers=jobs)
     return list(merged.values())
 

@@ -23,20 +23,18 @@ fig06 campaign honours (``docs/CHECKPOINT.md``).
 from __future__ import annotations
 
 import math
-import os
-import signal
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..adversary import ADVERSARY_BEHAVIORS
 from ..analysis.report import format_table
-from ..checkpoint import (CampaignCheckpointStore, CheckpointPolicy,
-                          config_digest_of)
+from ..checkpoint import CheckpointPolicy, config_digest_of
 from ..faults import AdversaryEvent, FaultSchedule
 from ..obs import INFO, FlowSpec, Instrumentation
 from ..obs import resolve as resolve_obs
 from ..obs.flows import intra_share, transit_share
-from ..parallel.jobs import Job, run_jobs
+from ..parallel.jobs import Job
+from ..parallel.units import kill_switch_hook, open_checkpoint, run_units
 from ..protocol.config import ProtocolConfig
 from ..workload.popularity import popular_channel_mix
 from ..workload.scenario import TELE_PROBE, ScenarioConfig, SessionScenario
@@ -54,12 +52,6 @@ TRANSIT_TOLERANCE = 0.15
 STARTUP_TOLERANCE = 10.0
 #: Top-10% upload share must stay within this of the baseline's shape.
 TOP10_TOLERANCE = 0.25
-
-#: ``cell:events`` — when set, the matching resilience cell SIGKILLs its
-#: own process once the simulator has executed that many events.
-#: Test-only seam for the kill/resume suite, mirroring the campaign's
-#: ``REPRO_CAMPAIGN_SIGKILL``.
-KILL_SWITCH_ENV = "REPRO_RESILIENCE_SIGKILL"
 
 
 @dataclass(frozen=True)
@@ -125,29 +117,6 @@ def build_cells(params: ResilienceParams) -> List[Cell]:
     return cells
 
 
-def _kill_switch_hook(index: int) -> Optional[Callable]:
-    spec = os.environ.get(KILL_SWITCH_ENV)
-    if not spec:
-        return None
-    try:
-        cell_text, events_text = spec.split(":")
-        target_cell = int(cell_text)
-        threshold = int(events_text)
-    except ValueError:
-        raise ValueError(
-            f"{KILL_SWITCH_ENV} must be 'cell:events', got {spec!r}")
-    if target_cell != index:
-        return None
-
-    def hook(sim, deployment, manager, probe_peers) -> None:
-        def check() -> None:
-            if sim.events_executed >= threshold:
-                os.kill(os.getpid(), signal.SIGKILL)
-        sim.every(1.0, check, label="kill-switch")
-
-    return hook
-
-
 def _resilience_cell_job(params: ResilienceParams, cell: Cell) -> dict:
     """Worker entry point: one hardened session, clean or adversarial.
 
@@ -170,7 +139,7 @@ def _resilience_cell_job(params: ResilienceParams, cell: Cell) -> dict:
         protocol=ProtocolConfig().hardened(),
         flows=FlowSpec(),
         faults=schedule,
-        run_hook=_kill_switch_hook(cell.index),
+        run_hook=kill_switch_hook(("cell", cell.index)),
     )
     result = SessionScenario(config).run()
 
@@ -411,45 +380,24 @@ def run_resilience(scale: Scale = Scale.DEFAULT, seed: int = 7,
 
     Cells are independent jobs fanned out to ``jobs`` worker processes.
     ``checkpoint`` persists finished cells (``--checkpoint DIR``) and
-    replays them on ``--resume``, byte-identically — the cell key is
-    ``("cell", index)`` in the campaign checkpoint store.
+    replays them on ``--resume``, byte-identically, through the same
+    :func:`~repro.parallel.run_units` loop as the campaign — the cell
+    key is ``("cell", index)``, stored as ``cell-NNNN``.
     """
     params = resilience_params(scale, seed, fractions, behaviors)
     cells = build_cells(params)
-
-    store: Optional[CampaignCheckpointStore] = None
-    digest = ""
-    restored: Dict[Tuple[str, int], dict] = {}
-    if checkpoint is not None:
-        store = CampaignCheckpointStore(checkpoint.path)
-        digest = resilience_config_digest(params)
-        if checkpoint.resume:
-            store.load_manifest(digest)
-            restored = store.load_units(digest)
-        else:
-            store.initialize(digest, seed=params.seed, days=0,
-                             total_units=len(cells))
-
     job_list = [Job(key=("cell", cell.index), fn=_resilience_cell_job,
                     args=(params, cell)) for cell in cells]
-    merged: Dict[Tuple[str, int], dict] = {
-        key: _cell_payload(payload) for key, payload in restored.items()}
-    pending = [job for job in job_list if job.key not in merged]
-    if store is None:
-        merged.update(run_jobs(pending, workers=jobs, obs=None))
-    else:
-        # Batches below ``jobs`` would serialise the pool, so the flush
-        # interval is at least one full batch of workers.
-        batch = max(checkpoint.every, jobs)
-        for index in range(0, len(pending), batch):
-            chunk = pending[index:index + batch]
-            done = run_jobs(chunk, workers=jobs, obs=None)
-            for key in sorted(done):
-                store.write_unit(key, digest, _cell_payload(done[key]))
-            merged.update(done)
+    store, restored = open_checkpoint(
+        checkpoint, resilience_config_digest(params),
+        [job.key for job in job_list], seed=params.seed, days=0,
+        encode=_cell_payload,
+        decode=lambda _key, payload: _cell_payload(payload))
+    merged = run_units(job_list, workers=jobs, checkpoint=store,
+                       restored=restored)
 
-    outcomes = {key[1]: _cell_payload(payload)
-                for key, payload in merged.items()}
+    outcomes = {key[1]: _cell_payload(outcome)
+                for key, outcome in merged.items()}
     result = ResilienceResult(
         params=params, cells=cells, outcomes=outcomes,
         statistics=score_cells(cells, outcomes))

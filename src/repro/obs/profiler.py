@@ -22,6 +22,7 @@ progress report to a stream.
 from __future__ import annotations
 
 import sys
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -47,8 +48,8 @@ class EngineSample:
     events_executed: int
     queue_depth: int
     wall_seconds: float
-    #: Events per wall-clock second since the previous sample (0.0 for
-    #: the first sample).
+    #: Events per wall-clock second since the previous sample of the
+    #: same simulator (0.0 for each simulator's first sample).
     events_per_sec: float = 0.0
 
 
@@ -61,6 +62,9 @@ class EngineProfiler:
     def __init__(self) -> None:
         self._labels: Dict[str, LabelProfile] = {}
         self.samples: List[EngineSample] = []
+        #: The simulator behind ``samples[-1]``; weak, so a finished
+        #: campaign day is not kept alive into the next one.
+        self._sampled: Optional[weakref.ref] = None
         self._started_at = perf_counter()
         #: Coarse run-phase wall clocks ("setup", "sim", "analysis"):
         #: cumulative, so multi-session runs (campaigns) accumulate.
@@ -99,18 +103,24 @@ class EngineProfiler:
     # Sampling
     # ------------------------------------------------------------------
     def sample(self, sim) -> EngineSample:
-        """Record a queue-depth / throughput sample from ``sim``."""
+        """Record a queue-depth / throughput sample from ``sim``.
+
+        The rate differences against the previous sample only when that
+        came from the same simulator: a campaign runs one simulator per
+        day, and its event count restarts from zero.
+        """
         now_wall = perf_counter() - self._started_at
         point = EngineSample(sim_time=sim.now,
                              events_executed=sim.events_executed,
                              queue_depth=len(sim.queue),
                              wall_seconds=now_wall)
-        if self.samples:
+        if self._sampled is not None and self._sampled() is sim:
             last = self.samples[-1]
             d_wall = point.wall_seconds - last.wall_seconds
             if d_wall > 0:
                 point.events_per_sec = ((point.events_executed
                                          - last.events_executed) / d_wall)
+        self._sampled = weakref.ref(sim)
         self.samples.append(point)
         return point
 
@@ -145,7 +155,8 @@ class EngineProfiler:
         if self.samples:
             registry.gauge("sim.queue_depth_last").set(
                 self.samples[-1].queue_depth)
-            rates = [s.events_per_sec for s in self.samples[1:]]
+            rates = [s.events_per_sec for s in self.samples
+                     if s.events_per_sec]
             if rates:
                 registry.gauge("sim.events_per_sec_wall_mean").set(
                     sum(rates) / len(rates))

@@ -17,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from ..obs import Instrumentation
 from .jobs import Job, run_jobs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -39,22 +38,16 @@ def _seed_session_job(config: "ScenarioConfig", seed: int,
 
 
 def run_seed_sweep(config: "ScenarioConfig", seeds: Sequence[int], *,
-                   jobs: int = 1, probe_name: Optional[str] = None,
-                   timeout: Optional[float] = None, retries: int = 1,
-                   obs: Optional[Instrumentation] = None
+                   jobs: int = 1, probe_name: Optional[str] = None
                    ) -> List["SessionMetrics"]:
     """Run ``config`` once per seed; metrics in ``seeds`` order."""
     if not seeds:
         raise ValueError("need at least one seed")
-    if jobs <= 1:
-        return [_seed_session_job(config, seed, probe_name)
-                for seed in seeds]
     # Workers must not inherit the caller's instrumentation bundle
     # (open sinks do not pickle; metrics belong to the parent).
-    worker_config = dataclasses.replace(config, instrumentation=None)
-    job_list = [Job(key=(index, seed), fn=_seed_session_job,
-                    args=(worker_config, seed, probe_name))
-                for index, seed in enumerate(seeds)]
-    merged = run_jobs(job_list, workers=jobs, timeout=timeout,
-                      retries=retries, obs=obs)
+    shipped = config if jobs <= 1 else dataclasses.replace(
+        config, instrumentation=None)
+    merged = run_jobs([Job(key=(index, seed), fn=_seed_session_job,
+                           args=(shipped, seed, probe_name))
+                       for index, seed in enumerate(seeds)], workers=jobs)
     return list(merged.values())

@@ -19,22 +19,22 @@ paper's observed variance:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
-import os
-import signal
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.locality import traffic_locality
-from ..checkpoint import (CampaignCheckpointStore, CheckpointError,
-                          CheckpointPolicy, config_digest_of)
+from ..checkpoint import (CheckpointError, CheckpointPolicy,
+                          config_digest_of, unit_stem)
 from ..faults import FaultSchedule
 from ..network.isp import ISPCategory
 from ..obs import INFO, FlowSpec, Instrumentation
 from ..obs import resolve as resolve_obs
 from ..obs.live import KIND_CAMPAIGN_START, KIND_DAY_COMPLETE
-from ..parallel.jobs import Job, run_jobs
+from ..parallel.jobs import Job
+from ..parallel.units import kill_switch_hook, open_checkpoint, run_units
 from ..sim.random import RandomRouter
 from ..streaming.chunks import ChunkGeometry
 from ..streaming.video import Popularity
@@ -189,54 +189,46 @@ def _unit_payload(daily: DailyLocality) -> dict:
     return payload
 
 
-def _daily_from_payload(key: Tuple[str, int],
+def _daily_from_payload(flows: Optional[FlowSpec], key: Tuple[str, int],
                         payload: dict) -> DailyLocality:
-    """Rebuild a :class:`DailyLocality` from a checkpoint unit artifact."""
+    """Rebuild a :class:`DailyLocality` from a checkpoint unit artifact.
+
+    A resumed flows-enabled run (``flows`` is its spec) replays flow
+    snapshots instead of re-simulating; a unit written without one, or
+    with a different ledger shape, cannot produce the byte-identical
+    artifact the contract promises, so it fails loudly."""
+    snapshot = payload.get("flows")
+    if flows is not None:
+        if snapshot is None:
+            raise CheckpointError(
+                f"checkpoint unit {unit_stem(key)} was written without "
+                f"flow accounting but this run enables it; re-run "
+                f"without --flows or restart the campaign")
+        if (snapshot.get("window") != flows.window
+                or snapshot.get("top_k") != flows.top_k):
+            raise CheckpointError(
+                f"checkpoint unit {unit_stem(key)} recorded flows with "
+                f"window={snapshot.get('window')} top_k="
+                f"{snapshot.get('top_k')}, but this run uses window="
+                f"{flows.window} top_k={flows.top_k}")
     popularity, day = key
     return DailyLocality(
         day=day, popularity=Popularity(popularity),
         population=payload["population"],
         locality_by_isp=dict(payload["locality_by_isp"]),
         events_executed=payload.get("events_executed", 0),
-        flows=payload.get("flows"))
+        flows=snapshot)
 
 
-#: ``popularity:day:events`` — when set, the matching campaign unit
-#: SIGKILLs its own process once the simulator has executed that many
-#: events.  Test-only seam for the kill/resume chaos suite: the check
-#: runs at simulated-time boundaries, so the kill point is deterministic
-#: in event count (the killed, un-checkpointed day is simply re-run from
-#: scratch on resume).
-KILL_SWITCH_ENV = "REPRO_CAMPAIGN_SIGKILL"
+def _run_day(config: CampaignConfig, day: int,
+             popularity: Popularity) -> DailyLocality:
+    """Job entry point: one (program, day) session.
 
-
-def _kill_switch_hook(day: int,
-                      popularity: Popularity) -> Optional[Callable]:
-    spec = os.environ.get(KILL_SWITCH_ENV)
-    if not spec:
-        return None
-    try:
-        pop_value, day_text, events_text = spec.split(":")
-        target_day = int(day_text)
-        threshold = int(events_text)
-    except ValueError:
-        raise ValueError(
-            f"{KILL_SWITCH_ENV} must be 'popularity:day:events', "
-            f"got {spec!r}")
-    if pop_value != popularity.value or target_day != day:
-        return None
-
-    def hook(sim, deployment, manager, probe_peers) -> None:
-        def check() -> None:
-            if sim.events_executed >= threshold:
-                os.kill(os.getpid(), signal.SIGKILL)
-        sim.every(1.0, check, label="kill-switch")
-
-    return hook
-
-
-def _run_day(config: CampaignConfig, day: int, popularity: Popularity,
-             router: RandomRouter) -> DailyLocality:
+    The day's RNG streams derive from ``(config.seed, day, popularity)``
+    alone — the router fork consumes no shared state — so the unit
+    draws the same sequence in-process or in a worker process.
+    """
+    router = RandomRouter(config.seed)
     rng = router.fork(f"day:{day}:{popularity.value}").stream("campaign")
     if popularity is Popularity.POPULAR:
         mix = popular_channel_mix()
@@ -254,7 +246,7 @@ def _run_day(config: CampaignConfig, day: int, popularity: Popularity,
     noise = math.exp(rng.gauss(0.0, config.audience_noise_sigma))
     population = max(10, int(round(base_population * factor * noise)))
 
-    kill_hook = _kill_switch_hook(day, popularity)
+    kill_hook = kill_switch_hook((popularity.value, day))
     extra_hook = config.session_hook
     if kill_hook is not None and extra_hook is not None:
         def run_hook(sim, deployment, manager, probe_peers,
@@ -303,19 +295,28 @@ def _run_day(config: CampaignConfig, day: int, popularity: Popularity,
                if result.flows is not None else None))
 
 
-def _emit_day(config: CampaignConfig, obs: Instrumentation,
-              popularity: Popularity, daily: DailyLocality,
-              restored: bool = False) -> None:
+def _emit_day(config: CampaignConfig, obs: Instrumentation, jobs: int,
+              _key: Tuple[str, int], daily: DailyLocality,
+              restored: bool) -> None:
     """Campaign-level progress/trace for one finished day.
 
-    Shared by the serial and parallel paths so both produce the same
-    campaign-level event stream, in the same deterministic order.
-    ``restored`` marks a day replayed from a checkpoint rather than
-    simulated in this process; the flag is added to the records only
-    when set, so non-resumed streams stay byte-identical.
+    :func:`run_units` calls it in canonical unit order for every
+    ``jobs`` value, so serial and parallel runs produce the same
+    campaign-level event stream.  ``restored`` marks a day replayed
+    from a checkpoint rather than simulated in this process; the flag
+    is added to the records only when set, so non-resumed streams stay
+    byte-identical.
     """
     if not obs.enabled:
         return
+    if restored or jobs > 1:
+        # The day's session did not count into this bundle (it was
+        # replayed, or ran in a worker), so its recorded count is
+        # folded here: the run_summary footer is the sum of the units'
+        # event counts in every mode and across resume.
+        obs.metrics.counter("sim.events_executed").inc(
+            daily.events_executed)
+    popularity = daily.popularity
     restored_fields = {"restored": True} if restored else {}
     obs.trace.emit(0.0, INFO, "campaign_day",
                    day=daily.day + 1, days=config.days,
@@ -349,29 +350,15 @@ def _emit_day(config: CampaignConfig, obs: Instrumentation,
               file=stream if stream is not None else sys.stderr)
 
 
-def _campaign_day_job(config: CampaignConfig, day: int,
-                      popularity_value: str) -> DailyLocality:
-    """Worker entry point: one (day, program) simulation.
-
-    The day's RNG streams derive from ``(config.seed, day, popularity)``
-    alone — the router fork in :func:`_run_day` consumes no shared
-    state — so rebuilding the router here yields the exact draw sequence
-    the serial loop would have used.
-    """
-    return _run_day(config, day, Popularity(popularity_value),
-                    RandomRouter(config.seed))
-
-
 def campaign_jobs(config: CampaignConfig) -> List[Job]:
-    """The campaign's independent job list: one job per (program, day).
+    """The campaign's independent job list, one job per (program, day),
+    in canonical unit order: popular days 0..N-1, then unpopular.
 
-    The configs shipped to workers carry no instrumentation bundle —
-    sinks do not pickle and worker-side metrics would race; the parent
-    re-emits the campaign-level events after the deterministic merge.
-    """
-    worker_config = dataclasses.replace(config, instrumentation=None)
-    return [Job(key=(popularity.value, day), fn=_campaign_day_job,
-                args=(worker_config, day, popularity.value))
+    This is the order units run, report and replay in, for every
+    ``jobs`` value and across resume — one ordering everywhere keeps
+    every campaign-level event stream deterministic."""
+    return [Job(key=(popularity.value, day), fn=_run_day,
+                args=(config, day, popularity))
             for popularity in (Popularity.POPULAR, Popularity.UNPOPULAR)
             for day in range(config.days)]
 
@@ -392,51 +379,10 @@ def assemble_campaign(config: CampaignConfig,
                           unpopular=unpopular)
 
 
-def campaign_unit_keys(config: CampaignConfig) -> List[Tuple[str, int]]:
-    """Canonical unit order: popular days 0..N-1, then unpopular.
-
-    This is the order the serial loop simulates, the parallel job list
-    ships, and the resumed run replays — one ordering everywhere keeps
-    every campaign-level event stream deterministic."""
-    return [(popularity.value, day)
-            for popularity in (Popularity.POPULAR, Popularity.UNPOPULAR)
-            for day in range(config.days)]
-
-
-def _validate_restored(config: CampaignConfig,
-                       restored: Dict[Tuple[str, int], DailyLocality],
-                       store: CampaignCheckpointStore) -> None:
-    expected = set(campaign_unit_keys(config))
-    unknown = sorted(set(restored) - expected)
-    if unknown:
-        raise CheckpointError(
-            f"checkpoint at {store.root} contains units outside the "
-            f"campaign shape: {unknown[:3]}")
-    if config.flows is not None:
-        # A resumed flows-enabled run replays flow snapshots instead of
-        # re-simulating; a checkpoint written without them (or with a
-        # different ledger shape) cannot produce the byte-identical
-        # artifact the contract promises, so fail loudly.
-        for key in sorted(restored):
-            snapshot = restored[key].flows
-            if snapshot is None:
-                raise CheckpointError(
-                    f"checkpoint at {store.root} was written without "
-                    f"flow accounting (unit {key} has no flow snapshot) "
-                    f"but this run enables it; re-run without --flows "
-                    f"or restart the campaign")
-            if (snapshot.get("window") != config.flows.window
-                    or snapshot.get("top_k") != config.flows.top_k):
-                raise CheckpointError(
-                    f"checkpoint unit {key} recorded flows with window="
-                    f"{snapshot.get('window')} top_k="
-                    f"{snapshot.get('top_k')}, but this run uses window="
-                    f"{config.flows.window} top_k={config.flows.top_k}")
-
-
 def _emit_flows(config: CampaignConfig, obs: Instrumentation,
                 merged: Dict[Tuple[str, int], DailyLocality]) -> None:
-    """Write per-unit flow records to the artifact, in canonical order.
+    """Write per-unit flow records to the artifact, in canonical order
+    (``merged`` is in job order).
 
     Parent-side only, after the deterministic merge — exactly like the
     campaign-level progress records — so the flows artifact is
@@ -445,24 +391,21 @@ def _emit_flows(config: CampaignConfig, obs: Instrumentation,
     writer = getattr(obs, "flows", None)
     if writer is None or config.flows is None:
         return
-    for key in campaign_unit_keys(config):
-        daily = merged.get(key)
-        if daily is not None and daily.flows is not None:
-            writer.write_unit({"day": key[1], "popularity": key[0]},
+    for (popularity, day), daily in merged.items():
+        if daily.flows is not None:
+            writer.write_unit({"day": day, "popularity": popularity},
                               daily.flows)
 
 
 def run_campaign(config: Optional[CampaignConfig] = None, *,
-                 jobs: int = 1, timeout: Optional[float] = None,
-                 retries: int = 1,
+                 jobs: int = 1,
                  checkpoint: Optional[CheckpointPolicy] = None
                  ) -> CampaignResult:
     """Run the full campaign: ``days`` sessions per program.
 
     ``jobs`` fans the independent daily sessions out to that many worker
     processes (see ``docs/PARALLEL.md``); the result is byte-identical
-    for every ``jobs`` value.  ``timeout``/``retries`` bound stuck and
-    crashed workers when ``jobs > 1``.
+    for every ``jobs`` value.
 
     ``checkpoint`` makes the campaign resumable (``docs/CHECKPOINT.md``):
     completed (program, day) units are persisted as atomic,
@@ -480,20 +423,16 @@ def run_campaign(config: Optional[CampaignConfig] = None, *,
         # processes (shipped instrumentation=None) see it too.
         config = dataclasses.replace(config, flows=obs.flows_spec)
 
-    store: Optional[CampaignCheckpointStore] = None
-    digest = ""
-    restored: Dict[Tuple[str, int], DailyLocality] = {}
-    if checkpoint is not None:
-        store = CampaignCheckpointStore(checkpoint.path)
-        digest = campaign_config_digest(config)
-        if checkpoint.resume:
-            store.load_manifest(digest)
-            for key, payload in store.iter_units(digest):
-                restored[key] = _daily_from_payload(key, payload)
-            _validate_restored(config, restored, store)
-        else:
-            store.initialize(digest, seed=config.seed, days=config.days,
-                             total_units=2 * config.days)
+    # Workers get no instrumentation bundle: sinks do not pickle and
+    # worker-side metrics would race; _emit_day reports for them.
+    shipped = config if jobs <= 1 else dataclasses.replace(
+        config, instrumentation=None)
+    unit_jobs = campaign_jobs(shipped)
+    store, restored = open_checkpoint(
+        checkpoint, campaign_config_digest(config),
+        [job.key for job in unit_jobs], seed=config.seed, days=config.days,
+        encode=_unit_payload,
+        decode=functools.partial(_daily_from_payload, config.flows))
 
     bus = obs.progress_bus
     if bus is not None:
@@ -508,68 +447,9 @@ def run_campaign(config: Optional[CampaignConfig] = None, *,
                  total_units=2 * config.days, seed=config.seed,
                  jobs=jobs, **resume_fields)
 
-    if jobs > 1:
-        all_jobs = campaign_jobs(config)
-        if store is None:
-            merged = run_jobs(all_jobs, workers=jobs, timeout=timeout,
-                              retries=retries,
-                              obs=config.instrumentation)
-        else:
-            merged = dict(restored)
-            pending = [job for job in all_jobs
-                       if job.key not in restored]
-            # Batches below ``jobs`` would serialise the pool, so the
-            # flush interval is at least one full batch of workers.
-            batch = max(checkpoint.every, jobs)
-            for index in range(0, len(pending), batch):
-                chunk = pending[index:index + batch]
-                done = run_jobs(chunk, workers=jobs, timeout=timeout,
-                                retries=retries,
-                                obs=config.instrumentation)
-                for key in sorted(done):
-                    store.write_unit(key, digest,
-                                     _unit_payload(done[key]))
-                merged.update(done)
-        result = assemble_campaign(config, merged)
-        for popularity, days in ((Popularity.POPULAR, result.popular),
-                                 (Popularity.UNPOPULAR, result.unpopular)):
-            for daily in days:
-                _emit_day(config, obs, popularity, daily,
-                          restored=(popularity.value, daily.day)
-                          in restored)
-        _emit_flows(config, obs, merged)
-        return result
-
-    router = RandomRouter(config.seed)
-    merged = {}
-    unflushed: List[Tuple[str, int]] = []
-
-    def flush() -> None:
-        for key in unflushed:
-            store.write_unit(key, digest, _unit_payload(merged[key]))
-        unflushed.clear()
-
-    for key in campaign_unit_keys(config):
-        popularity = Popularity(key[0])
-        daily = restored.get(key)
-        if daily is not None:
-            merged[key] = daily
-            if obs.enabled:
-                # Fold the restored day's recorded event count into the
-                # live counter so the run_summary footer of a resumed
-                # run matches the uninterrupted run exactly.
-                obs.metrics.counter("sim.events_executed").inc(
-                    daily.events_executed)
-            _emit_day(config, obs, popularity, daily, restored=True)
-            continue
-        daily = _run_day(config, key[1], popularity, router)
-        merged[key] = daily
-        if store is not None:
-            unflushed.append(key)
-            if len(unflushed) >= checkpoint.every:
-                flush()
-        _emit_day(config, obs, popularity, daily)
-    if store is not None:
-        flush()
+    merged = run_units(unit_jobs, workers=jobs, checkpoint=store,
+                       restored=restored, obs=config.instrumentation,
+                       on_unit=functools.partial(_emit_day, config, obs,
+                                                 jobs))
     _emit_flows(config, obs, merged)
     return assemble_campaign(config, merged)

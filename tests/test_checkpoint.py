@@ -14,8 +14,8 @@ import os
 
 import pytest
 
-from repro.checkpoint import (SCHEMA_VERSION, CampaignCheckpointStore,
-                              CheckpointError, CheckpointPolicy,
+from repro.checkpoint import (SCHEMA_VERSION, CheckpointError,
+                              CheckpointPolicy, UnitCheckpointStore,
                               canonical_json, payload_digest,
                               read_artifact, write_artifact)
 from repro.checkpoint.format import TMP_SUFFIX
@@ -134,13 +134,13 @@ class TestArtifactCorruption:
 
 
 # ----------------------------------------------------------------------
-# Campaign store
+# Unit store
 # ----------------------------------------------------------------------
 DIGEST = "d" * 64
 
 
 def _store(tmp_path, digest=DIGEST, units=()):
-    store = CampaignCheckpointStore(tmp_path / "ckpt")
+    store = UnitCheckpointStore(tmp_path / "ckpt")
     store.initialize(digest, seed=11, days=2, total_units=4)
     for key in units:
         store.write_unit(key, digest,
@@ -159,7 +159,7 @@ class TestCampaignStore:
         assert manifest["total_units"] == 4
 
     def test_missing_manifest(self, tmp_path):
-        store = CampaignCheckpointStore(tmp_path / "nowhere")
+        store = UnitCheckpointStore(tmp_path / "nowhere")
         with pytest.raises(CheckpointError,
                            match="start one with --checkpoint"):
             store.load_manifest(DIGEST)
@@ -179,7 +179,7 @@ class TestCampaignStore:
 
     def test_unit_payload_round_trip(self, tmp_path):
         store = _store(tmp_path, units=[("popular", 0)])
-        units = store.load_units(DIGEST)
+        units = dict(store.iter_units(DIGEST))
         payload = units[("popular", 0)]
         assert payload["locality_by_isp"] == {"TELE": 75.0}
         assert payload["events_executed"] == 1000
@@ -189,13 +189,13 @@ class TestCampaignStore:
         os.rename(store.unit_path(("popular", 0)),
                   store.unit_path(("popular", 1)))
         with pytest.raises(CheckpointError, match="mislabeled"):
-            store.load_units(DIGEST)
+            dict(store.iter_units(DIGEST))
 
     def test_foreign_file_in_units_dir(self, tmp_path):
         store = _store(tmp_path, units=[("popular", 0)])
         (store.units_dir / "notes.json").write_text("{}")
         with pytest.raises(CheckpointError, match="unexpected file"):
-            store.load_units(DIGEST)
+            dict(store.iter_units(DIGEST))
 
     def test_stale_config_unit(self, tmp_path):
         store = _store(tmp_path, units=[("popular", 0)])
@@ -203,7 +203,7 @@ class TestCampaignStore:
                          {"population": 9,
                           "locality_by_isp": {}, "events_executed": 1})
         with pytest.raises(CheckpointError, match="stale checkpoint"):
-            store.load_units(DIGEST)
+            dict(store.iter_units(DIGEST))
 
     def test_truncated_unit(self, tmp_path):
         store = _store(tmp_path, units=[("popular", 0)])
@@ -211,18 +211,19 @@ class TestCampaignStore:
         path.write_text(path.read_text()[:40])
         with pytest.raises(CheckpointError,
                            match="truncated or malformed"):
-            store.load_units(DIGEST)
+            dict(store.iter_units(DIGEST))
 
     def test_initialize_clears_stale_units(self, tmp_path):
         store = _store(tmp_path, units=[("popular", 0), ("unpopular", 0)])
         store.initialize("e" * 64, seed=12, days=2, total_units=4)
-        assert store.load_units("e" * 64) == {}
+        assert dict(store.iter_units("e" * 64)) == {}
 
     def test_tmp_files_are_ignored_by_scans(self, tmp_path):
         store = _store(tmp_path, units=[("popular", 0)])
         (store.units_dir / f"popular-0001.json{TMP_SUFFIX}") \
             .write_text("torn")
-        assert list(store.load_units(DIGEST)) == [("popular", 0)]
+        keys = [key for key, _ in store.iter_units(DIGEST)]
+        assert keys == [("popular", 0)]
 
 
 # ----------------------------------------------------------------------

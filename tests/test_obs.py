@@ -354,6 +354,24 @@ class TestEngineProfiler:
         assert second.events_executed == 1
         assert second.queue_depth == 0
 
+    def test_rate_restarts_with_each_simulator(self):
+        prof = EngineProfiler()
+        busy = Simulator(profiler=prof)
+        for step in range(50):
+            busy.call_at(float(step), lambda: None)
+        prof.sample(busy)
+        busy.run()
+        assert prof.sample(busy).events_per_sec > 0
+        fresh = Simulator(profiler=prof)
+        fresh.call_at(1.0, lambda: None)
+        fresh.run()
+        # Fewer events than the previous simulator's last sample: no
+        # rate, rather than a negative one.
+        assert prof.sample(fresh).events_per_sec == 0.0
+        registry = MetricsRegistry()
+        prof.export_into(registry)
+        assert registry.get("sim.events_per_sec_wall_mean").value > 0
+
     def test_export_into_registry(self):
         prof = EngineProfiler()
         prof.record("tick", 0.25)

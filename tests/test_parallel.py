@@ -15,11 +15,16 @@ import time
 
 import pytest
 
+import repro.parallel.units as units_module
+from repro.checkpoint import (CheckpointError, CheckpointPolicy,
+                              UnitCheckpointStore)
 from repro.experiments.fig06 import Figure6
 from repro.obs import Instrumentation, RingSink
-from repro.parallel import (WHERE_FALLBACK, WHERE_POOL, WHERE_SERIAL, Job,
-                            JobFailure, execute_jobs, merge_by_key,
-                            run_jobs, run_seed_sweep)
+from repro.parallel import (KILL_SWITCH_ENV, WHERE_FALLBACK, WHERE_POOL,
+                            WHERE_SERIAL, Job, JobFailure, execute_jobs,
+                            kill_switch_hook, merge_by_key,
+                            open_checkpoint, run_jobs, run_seed_sweep,
+                            run_units)
 from repro.streaming.video import Popularity
 from repro.workload.campaign import CampaignConfig, run_campaign
 from repro.workload.scenario import ScenarioConfig
@@ -288,3 +293,188 @@ class TestParallelObservability:
         jobs = [Job(key=i, fn=_square, args=(i,)) for i in range(2)]
         merged = run_jobs(jobs, workers=2, obs=None)
         assert dict(merged) == {0: 0, 1: 1}
+
+
+# ----------------------------------------------------------------------
+# run_units: the checkpoint/resume loop over toy units
+# ----------------------------------------------------------------------
+def _toy_jobs(count):
+    return [Job(key=("unit", i), fn=_square, args=(i,))
+            for i in range(count)]
+
+
+def _encode(value):
+    return {"value": value}
+
+
+def _decode(key, payload):
+    return payload["value"]
+
+
+def _open(tmp_path, keys, every=1, resume=False):
+    return open_checkpoint(
+        CheckpointPolicy(path=str(tmp_path / "ckpt"), every=every,
+                         resume=resume),
+        "d" * 64, keys, seed=1, days=0, encode=_encode, decode=_decode)
+
+
+def _on_disk(checkpoint):
+    return sorted(key[1] for key, _ in
+                  checkpoint.store.iter_units(checkpoint.digest))
+
+
+class TestRunUnits:
+    def _record_calls(self, monkeypatch):
+        """Wrap the runner's run_jobs to record each call's unit count."""
+        calls = []
+        real = units_module.run_jobs
+
+        def counting(jobs, **kwargs):
+            calls.append(len(jobs))
+            return real(jobs, **kwargs)
+
+        monkeypatch.setattr(units_module, "run_jobs", counting)
+        return calls
+
+    def _run(self, tmp_path, count, workers, every):
+        jobs = _toy_jobs(count)
+        checkpoint, restored = _open(tmp_path, [j.key for j in jobs],
+                                     every=every)
+        seen = []
+        merged = run_units(
+            jobs, workers=workers, checkpoint=checkpoint,
+            restored=restored,
+            on_unit=lambda key, value, replayed: seen.append(
+                (key[1], _on_disk(checkpoint))))
+        assert list(merged.values()) == [i * i for i in range(count)]
+        assert _on_disk(checkpoint) == list(range(count))
+        return seen
+
+    def test_serial_flushes_every_n_units(self, tmp_path, monkeypatch):
+        calls = self._record_calls(monkeypatch)
+        seen = self._run(tmp_path, 5, workers=1, every=2)
+        # One unit per call, reported as it finishes; a flush lands
+        # before the report of every second unit, the tail at the end.
+        assert calls == [1, 1, 1, 1, 1]
+        assert seen == [(0, []), (1, [0, 1]), (2, [0, 1]),
+                        (3, [0, 1, 2, 3]), (4, [0, 1, 2, 3])]
+
+    def test_pool_flushes_every_max_of_n_and_workers(self, tmp_path,
+                                                     monkeypatch):
+        calls = self._record_calls(monkeypatch)
+        seen = self._run(tmp_path, 5, workers=2, every=1)
+        assert calls == [2, 2, 1]
+        assert seen == [(0, [0, 1]), (1, [0, 1]), (2, [0, 1, 2, 3]),
+                        (3, [0, 1, 2, 3]), (4, [0, 1, 2, 3, 4])]
+
+    def test_pool_batch_follows_a_larger_every(self, tmp_path,
+                                               monkeypatch):
+        calls = self._record_calls(monkeypatch)
+        seen = self._run(tmp_path, 5, workers=2, every=3)
+        assert calls == [3, 2]
+        # The short last batch waits for the final flush.
+        assert seen == [(0, [0, 1, 2]), (1, [0, 1, 2]), (2, [0, 1, 2]),
+                        (3, [0, 1, 2]), (4, [0, 1, 2])]
+
+    def test_pool_without_store_is_one_call(self, monkeypatch):
+        calls = self._record_calls(monkeypatch)
+        merged = run_units(_toy_jobs(5), workers=2)
+        assert calls == [5]
+        assert list(merged.values()) == [0, 1, 4, 9, 16]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_replayed_units_are_never_rerun(self, tmp_path, workers):
+        jobs = [Job(key=("unit", 0), fn=_square, args=(3,)),
+                Job(key=("unit", 1), fn=_always_raise, args=(1,)),
+                Job(key=("unit", 2), fn=_square, args=(4,))]
+        checkpoint, _ = _open(tmp_path, [j.key for j in jobs])
+        seen = []
+        merged = run_units(
+            jobs, workers=workers, checkpoint=checkpoint,
+            restored={("unit", 1): 100},
+            on_unit=lambda key, value, replayed: seen.append(
+                (key, value, replayed)))
+        assert list(merged.items()) == [(("unit", 0), 9),
+                                        (("unit", 1), 100),
+                                        (("unit", 2), 16)]
+        assert seen == [(("unit", 0), 9, False), (("unit", 1), 100, True),
+                        (("unit", 2), 16, False)]
+        # Only simulated units are persisted.
+        assert _on_disk(checkpoint) == [0, 2]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_on_unit_follows_job_order(self, workers):
+        jobs = [Job(key=("unit", i), fn=_square, args=(i,))
+                for i in (3, 1, 2, 0)]
+        seen = []
+        run_units(jobs, workers=workers, restored={("unit", 2): -1},
+                  on_unit=lambda key, value, replayed: seen.append(
+                      (key[1], value, replayed)))
+        assert seen == [(3, 9, False), (1, 1, False), (2, -1, True),
+                        (0, 0, False)]
+
+    def test_pool_units_report_parallel_obs(self):
+        obs = Instrumentation(trace=RingSink())
+        run_units(_toy_jobs(3), workers=2, obs=obs)
+        assert obs.metrics.get("parallel.jobs", {"where": "pool"}).value \
+            == 3
+
+    def test_in_process_units_keep_obs_to_themselves(self):
+        obs = Instrumentation(trace=RingSink())
+        run_units(_toy_jobs(3), workers=1, obs=obs)
+        assert obs.metrics.get("parallel.jobs", {"where": "serial"}) \
+            is None
+
+
+class TestOpenCheckpoint:
+    KEYS = [("unit", 0), ("unit", 1)]
+
+    def test_no_policy_means_no_store(self):
+        assert open_checkpoint(None, "d" * 64, self.KEYS, seed=1, days=0,
+                               encode=_encode, decode=_decode) == (None, {})
+
+    def test_fresh_run_writes_the_manifest(self, tmp_path):
+        checkpoint, restored = _open(tmp_path, self.KEYS, every=3)
+        assert restored == {}
+        assert checkpoint.every == 3
+        manifest = checkpoint.store.load_manifest("d" * 64)
+        assert manifest["total_units"] == 2
+
+    def test_resume_decodes_replayable_units(self, tmp_path):
+        checkpoint, _ = _open(tmp_path, self.KEYS)
+        checkpoint.store.write_unit(("unit", 1), "d" * 64, _encode(7))
+        _, restored = _open(tmp_path, self.KEYS, resume=True)
+        assert restored == {("unit", 1): 7}
+
+    def test_resume_refuses_units_outside_the_keys(self, tmp_path):
+        checkpoint, _ = _open(tmp_path, self.KEYS)
+        checkpoint.store.write_unit(("unit", 5), "d" * 64, _encode(7))
+        with pytest.raises(CheckpointError, match="unit-0005"):
+            _open(tmp_path, self.KEYS, resume=True)
+
+    def test_store_keeps_the_on_disk_names(self, tmp_path):
+        store = UnitCheckpointStore(tmp_path)
+        assert store.manifest_path.name == "campaign.json"
+        assert store.unit_path(("cell", 1)).name == "cell-0001.json"
+        assert store.unit_path(("unpopular", 12)).name \
+            == "unpopular-0012.json"
+
+
+class TestKillSwitch:
+    @pytest.mark.parametrize("spec", ["popular-0000", "popular-0000:",
+                                      ":500", "popular-0000:many",
+                                      "popular-0000:-5"])
+    def test_malformed_spec_names_the_variable(self, monkeypatch, spec):
+        monkeypatch.setenv(KILL_SWITCH_ENV, spec)
+        with pytest.raises(ValueError, match=KILL_SWITCH_ENV):
+            kill_switch_hook(("popular", 0))
+
+    def test_other_unit_gets_no_hook(self, monkeypatch):
+        monkeypatch.setenv(KILL_SWITCH_ENV, "cell-0001:2000")
+        assert kill_switch_hook(("cell", 0)) is None
+        assert kill_switch_hook(("popular", 1)) is None
+        assert callable(kill_switch_hook(("cell", 1)))
+
+    def test_unset_means_no_hook(self, monkeypatch):
+        monkeypatch.delenv(KILL_SWITCH_ENV, raising=False)
+        assert kill_switch_hook(("cell", 1)) is None

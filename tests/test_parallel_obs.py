@@ -161,3 +161,28 @@ class TestProfilerWithJobs:
         assert obs.profiler.total_events > 0
         sessions = obs.metrics.counter("sim.sessions_run")
         assert sessions.value == 2 * TINY_CAMPAIGN["days"]
+
+
+class TestCampaignEngineCounters:
+    """What the run_summary footer and the engine gauges read from."""
+
+    @pytest.mark.parametrize("mode", ["serial", "parallel"])
+    def test_event_counter_is_the_sum_of_unit_counts(self, request, mode):
+        # Worker sessions never count into the parent bundle, so the
+        # campaign folds their recorded counts; serial sessions count
+        # themselves.  Either way the footer is the units' sum.
+        result, obs = request.getfixturevalue(mode)
+        total = sum(day.events_executed
+                    for day in result.popular + result.unpopular)
+        assert total > 0
+        assert obs.metrics.get("sim.events_executed").value == total
+
+    def test_engine_rates_never_span_two_days(self, serial):
+        # Each campaign day is a fresh simulator whose event count
+        # restarts from zero; a rate against the previous day's last
+        # sample would be hugely negative.
+        obs = serial[1]
+        samples = obs.profiler.samples
+        assert len(samples) > 2 * TINY_CAMPAIGN["days"]
+        assert all(sample.events_per_sec >= 0.0 for sample in samples)
+        assert obs.metrics.get("sim.events_per_sec_wall_mean").value > 0

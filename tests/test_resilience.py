@@ -1,5 +1,6 @@
-"""The resilience sweep: scoring, --jobs byte-identity, checkpointing,
-and the SIGKILL/--resume cycle.
+"""The resilience sweep: scoring, --jobs byte-identity and
+checkpointing (the SIGKILL/--resume cycle is in
+``test_resume_determinism.py``, shared with the fig06 campaign).
 
 The full sweep is an experiment-sized run; these tests shrink the SMALL
 scale and restrict the sweep to one behavior × one fraction (a baseline
@@ -8,21 +9,17 @@ fan-out, scoring, checkpoint write/replay — at unit-test cost.
 """
 
 import os
-import signal
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-from repro.checkpoint import CheckpointPolicy
+from repro.checkpoint import (CheckpointError, CheckpointPolicy,
+                              UnitCheckpointStore)
 from repro.experiments.base import SCALE_PARAMS, Scale, ScaleParams
 from repro.experiments.registry import run_experiment
-from repro.experiments.resilience import (KILL_SWITCH_ENV, build_cells,
+from repro.experiments.resilience import (build_cells,
+                                          resilience_config_digest,
                                           resilience_params,
                                           run_resilience)
-
-SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 #: A seconds-long stand-in for the SMALL scale.
 TINY = ScaleParams(popular_population=12, unpopular_population=6,
@@ -118,62 +115,24 @@ class TestCheckpoint:
         units = sorted(p.name for p in (root / "units").glob("*.json"))
         assert units == ["cell-0000.json", "cell-0001.json"]
 
+    def test_resume_refuses_a_cell_outside_the_sweep(self, serial,
+                                                     tmp_path):
+        # A valid, digest-matching artifact for a cell this sweep does
+        # not have belongs to a run of another shape: refuse it rather
+        # than score it.
+        root = tmp_path / "ckpt"
+        digest = resilience_config_digest(
+            resilience_params(Scale.SMALL, 7, FRACTIONS, BEHAVIORS))
+        store = UnitCheckpointStore(root)
+        store.initialize(digest, seed=7, days=0, total_units=2)
+        for index in (0, 1, 9):
+            store.write_unit(("cell", index), digest,
+                             serial.outcomes[min(index, 1)])
+        with pytest.raises(CheckpointError, match="cell-0009"):
+            tiny_sweep(checkpoint=CheckpointPolicy(path=str(root),
+                                                   resume=True))
+
     def test_other_experiments_still_reject_checkpoint(self, tmp_path):
         with pytest.raises(ValueError, match="only apply"):
             run_experiment("table1", checkpoint=CheckpointPolicy(
                 path=str(tmp_path / "nope")))
-
-
-# ----------------------------------------------------------------------
-# kill -9 mid-sweep, then --resume
-# ----------------------------------------------------------------------
-#: Child entry point: the tiny sweep with per-cell checkpointing.
-_CHILD = """\
-import sys
-from repro.checkpoint import CheckpointPolicy
-from repro.experiments.base import SCALE_PARAMS, Scale, ScaleParams
-SCALE_PARAMS[Scale.SMALL] = ScaleParams(
-    popular_population=12, unpopular_population=6,
-    duration=180.0, warmup=90.0)
-from repro.experiments.resilience import run_resilience
-result = run_resilience(
-    scale=Scale.SMALL, seed=7,
-    fractions=(0.4,), behaviors=("chunk_polluter",),
-    checkpoint=CheckpointPolicy(path=sys.argv[1],
-                                resume="resume" in sys.argv[2:],
-                                every=1))
-sys.stdout.write(result.render() + "\\n")
-"""
-
-
-def _sweep_process(ckpt, tmp_path, resume=False, kill_at=None,
-                   timeout=240):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC
-    env.pop(KILL_SWITCH_ENV, None)
-    if kill_at is not None:
-        env[KILL_SWITCH_ENV] = kill_at
-    args = [sys.executable, "-c", _CHILD, str(ckpt)]
-    if resume:
-        args.append("resume")
-    return subprocess.run(args, cwd=str(tmp_path), env=env,
-                          capture_output=True, text=True,
-                          timeout=timeout)
-
-
-class TestKillResume:
-    def test_sigkill_then_resume_matches_uninterrupted(self, tmp_path):
-        full = _sweep_process(tmp_path / "full", tmp_path)
-        assert full.returncode == 0, full.stderr
-
-        # SIGKILL the sweep early in its adversarial cell: the baseline
-        # is flushed, the in-flight cell dies un-checkpointed.
-        ckpt = tmp_path / "ckpt"
-        killed = _sweep_process(ckpt, tmp_path, kill_at="1:2000")
-        assert killed.returncode == -signal.SIGKILL, killed.stderr
-        flushed = sorted(p.name for p in (ckpt / "units").glob("*.json"))
-        assert flushed == ["cell-0000.json"]
-
-        resumed = _sweep_process(ckpt, tmp_path, resume=True)
-        assert resumed.returncode == 0, resumed.stderr
-        assert resumed.stdout == full.stdout

@@ -10,9 +10,12 @@ level, active fault schedules, and telemetry on/off.
 The golden campaign config from ``test_campaign_goldens`` anchors the
 comparisons: resumed runs are asserted against the *pinned* golden
 digests, not just against each other, so a resume bug cannot hide
-behind a matching pair of equally-wrong runs.
+behind a matching pair of equally-wrong runs.  The SIGKILL/--resume
+cycle runs through the CLI for both checkpointed experiments, the
+campaign and the resilience sweep, which share one unit runner.
 """
 
+import dataclasses
 import io
 import os
 import shutil
@@ -29,6 +32,7 @@ from repro.obs import Instrumentation, ProgressBus
 from repro.obs.live import (KIND_CAMPAIGN_START, KIND_DAY_COMPLETE,
                             KIND_RUN_SUMMARY, deterministic_records,
                             read_progress, summarize_progress)
+from repro.parallel import KILL_SWITCH_ENV
 from repro.workload.campaign import run_campaign
 
 from .test_campaign_goldens import (GOLDEN_CONFIG, GOLDEN_SERIES_DIGEST,
@@ -151,7 +155,6 @@ def _instrumented_run(checkpoint=None):
     stream = io.StringIO()
     obs = Instrumentation(progress_bus=ProgressBus(stream),
                           heartbeat=False)
-    import dataclasses
     config = dataclasses.replace(GOLDEN_CONFIG(), instrumentation=obs)
     result = run_campaign(config, checkpoint=checkpoint)
     events = obs.metrics.get("sim.events_executed")
@@ -252,11 +255,11 @@ class TestStatusAfterResume:
 
 
 # ----------------------------------------------------------------------
-# Kill -9 mid-campaign, then resume (full CLI path)
+# Kill -9 mid-run, then resume (full CLI path, both checkpointed runs)
 # ----------------------------------------------------------------------
-#: Child entry point: the real CLI with the SMALL scale shrunk to a
-#: seconds-long campaign, so the kill/resume cycle stays CI-sized.
-_CHILD = """\
+#: Child entry points: the real CLI with the SMALL scale shrunk to a
+#: seconds-long run, so the kill/resume cycle stays CI-sized.
+_FIG06_CHILD = """\
 import sys
 import repro.experiments.fig06 as fig06
 from repro.experiments.base import Scale
@@ -267,53 +270,98 @@ from repro.cli import main
 sys.exit(main(sys.argv[1:]))
 """
 
+#: The resilience sweep cut to a baseline plus one adversarial cell.
+_RESILIENCE_CHILD = """\
+import sys
+import repro.experiments.resilience as resilience
+from repro.experiments.base import SCALE_PARAMS, Scale, ScaleParams
+SCALE_PARAMS[Scale.SMALL] = ScaleParams(
+    popular_population=12, unpopular_population=6,
+    duration=180.0, warmup=90.0)
+resilience.DEFAULT_FRACTIONS = (0.4,)
+resilience.ADVERSARY_BEHAVIORS = ("chunk_polluter",)
+from repro.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
 
-def _cli(args, tmp_path, kill_at=None, timeout=240):
+
+@dataclasses.dataclass(frozen=True)
+class KillCase:
+    experiment: str
+    child: str
+    #: ``REPRO_UNIT_SIGKILL`` for the killed run: early in this unit.
+    kill_at: str
+    every: int
+    #: Unit artifacts on disk after the kill.
+    flushed: tuple
+    #: ``repro status`` units done in the killed run's torn stream
+    #: (``None``: the run reports no campaign progress).
+    units_done: object
+    #: Whether the run_summary footer carries an event total.
+    counts_events: bool
+
+
+KILL_CASES = [
+    # Units flushed in batches of two, killed early in the third unit:
+    # units 1-2 are on disk, the in-flight day dies un-checkpointed.
+    KillCase("fig06", _FIG06_CHILD, "unpopular-0000:2000", every=2,
+             flushed=("popular-0000.json", "popular-0001.json"),
+             units_done=2, counts_events=True),
+    # Killed early in the adversarial cell: the baseline is flushed.
+    # Sweep cells carry no event count, so its footer reads 0.
+    KillCase("resilience", _RESILIENCE_CHILD, "cell-0001:2000", every=1,
+             flushed=("cell-0000.json",), units_done=None,
+             counts_events=False),
+]
+
+
+def _cli(case, args, tmp_path, kill_at=None, timeout=240):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC
-    env.pop("REPRO_CAMPAIGN_SIGKILL", None)
+    env.pop(KILL_SWITCH_ENV, None)
     if kill_at is not None:
-        env["REPRO_CAMPAIGN_SIGKILL"] = kill_at
+        env[KILL_SWITCH_ENV] = kill_at
     return subprocess.run(
-        [sys.executable, "-c", _CHILD, "run", "fig06",
+        [sys.executable, "-c", case.child, "run", case.experiment,
          "--scale", "small"] + args,
         cwd=str(tmp_path), env=env, capture_output=True, text=True,
         timeout=timeout)
 
 
-def _figure_lines(stdout: str):
-    """The deterministic part of the CLI output: the rendered figure,
+def _report_lines(case, stdout: str):
+    """The deterministic part of the CLI output: the rendered report,
     without the wall-clock timing footer."""
     return [line for line in stdout.splitlines()
-            if not line.startswith("[fig06 regenerated")]
+            if not line.startswith(f"[{case.experiment} regenerated")]
 
 
-class TestKillResumeChaos:
-    def test_sigkill_then_resume_matches_uninterrupted(self, tmp_path):
+class TestKillResume:
+    @pytest.mark.parametrize("case", KILL_CASES,
+                             ids=[case.experiment for case in KILL_CASES])
+    def test_sigkill_then_resume_matches_uninterrupted(self, tmp_path,
+                                                       case):
         ckpt = tmp_path / "ckpt"
 
-        full = _cli(["--progress-jsonl", str(tmp_path / "full.jsonl")],
-                    tmp_path)
+        full = _cli(case, ["--progress-jsonl",
+                           str(tmp_path / "full.jsonl")], tmp_path)
         assert full.returncode == 0, full.stderr
 
-        # Kill the campaign with SIGKILL early in its third unit, with
-        # units flushed in batches of two: units 1-2 are on disk, the
-        # in-flight day dies un-checkpointed.
-        killed = _cli(["--checkpoint", str(ckpt),
-                       "--checkpoint-every", "2",
-                       "--progress-jsonl",
-                       str(tmp_path / "killed.jsonl")],
-                      tmp_path, kill_at="unpopular:0:2000")
+        killed = _cli(case, ["--checkpoint", str(ckpt),
+                             "--checkpoint-every", str(case.every),
+                             "--progress-jsonl",
+                             str(tmp_path / "killed.jsonl")],
+                      tmp_path, kill_at=case.kill_at)
         assert killed.returncode == -signal.SIGKILL, killed.stderr
         flushed = sorted(p.name for p in (ckpt / "units").glob("*.json"))
-        assert flushed == ["popular-0000.json", "popular-0001.json"]
+        assert flushed == list(case.flushed)
 
-        resumed = _cli(["--resume", str(ckpt), "--progress-jsonl",
-                        str(tmp_path / "resumed.jsonl")], tmp_path)
+        resumed = _cli(case, ["--resume", str(ckpt), "--progress-jsonl",
+                              str(tmp_path / "resumed.jsonl")], tmp_path)
         assert resumed.returncode == 0, resumed.stderr
 
-        # Scorecard: the resumed run prints the exact same Figure 6.
-        assert _figure_lines(resumed.stdout) == _figure_lines(full.stdout)
+        # Scorecard: the resumed run prints the exact same report.
+        assert _report_lines(case, resumed.stdout) \
+            == _report_lines(case, full.stdout)
 
         # Telemetry: the resumed stream's deterministic projection —
         # including the run_summary footer's event total — matches the
@@ -327,12 +375,14 @@ class TestKillResumeChaos:
         resumed_footer = next(r for r in reversed(resumed_records)
                               if r["kind"] == KIND_RUN_SUMMARY)
         assert resumed_footer["events_executed"] \
-            == full_footer["events_executed"] > 0
+            == full_footer["events_executed"]
+        assert (full_footer["events_executed"] > 0) == case.counts_events
         assert resumed_footer["status"] == "ok"
 
         # The killed run's torn stream is still a readable artifact and
-        # summarises as a running campaign with two units done.
+        # summarises as a running run with the flushed units done.
         killed_summary = summarize_progress(
             read_progress(str(tmp_path / "killed.jsonl")))
         assert killed_summary["state"] == "running"
-        assert killed_summary["campaign"]["units_done"] == 2
+        assert killed_summary.get("campaign", {}).get("units_done") \
+            == case.units_done
