@@ -21,8 +21,6 @@ Usage::
     python -m repro flows windows flows.jsonl
     python -m repro flows top flows.jsonl --limit 10
     python -m repro report --scale small --out scorecard.md
-    python -m repro bench --quick --check
-    python -m repro bench --diff BENCH_engine.json /tmp/new/BENCH_engine.json
 
 ``all`` runs every single-session figure and Table 1 (the four canonical
 sessions are simulated once and shared); ``fig06`` runs the campaign and
@@ -51,16 +49,6 @@ statistic of Figures 2-5/11-18 and Table 1 measured against its target
 range, plus engine perf numbers, written as markdown (or HTML with
 ``--format html``) and appended as one JSON record to
 ``benchmarks/results/trend.jsonl``.
-
-``bench`` runs the engine/campaign micro-benchmarks and writes the
-machine-readable perf baselines ``BENCH_engine.json`` /
-``BENCH_campaign.json`` at the repo root; with ``--check`` it fails when
-a golden digest drifts from the committed baseline (the CI perf gate —
-see ``docs/PERFORMANCE.md``).  Each record now carries a per-subsystem
-wall-time attribution block; ``bench --diff OLD NEW`` compares two
-artifacts (and ``bench --diff`` with no paths diffs a fresh run against
-the committed baselines), failing on events/sec regressions beyond
-``--threshold``.
 
 ``status`` and ``top`` read a ``--progress-jsonl`` artifact — live
 mid-run (a torn final line is tolerated) or finished — and print a
@@ -226,67 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="capacity of the flow ledger's top-k peer-pair sketch "
              "(default: 32)")
     return parser
-
-
-def build_bench_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro bench",
-        description="Run the engine/campaign micro-benchmarks and write "
-                    "the machine-readable perf baselines BENCH_engine.json "
-                    "and BENCH_campaign.json (see docs/PERFORMANCE.md).")
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="run only the quick profiles (CI smoke)")
-    parser.add_argument(
-        "--check", action="store_true",
-        help="fail (exit 1) when a measured golden digest drifts from "
-             "the committed baseline in --baseline-dir")
-    parser.add_argument(
-        "--only", choices=("engine", "campaign"), default=None,
-        help="run just one of the two benchmarks")
-    parser.add_argument(
-        "--out-dir", metavar="DIR", default=".",
-        help="directory for the BENCH_*.json artifacts (default: .)")
-    parser.add_argument(
-        "--baseline-dir", metavar="DIR", default=None,
-        help="where the committed baselines live for --check "
-             "(default: --out-dir)")
-    parser.add_argument("--seed", type=int, default=7,
-                        help="engine bench master seed (default: 7)")
-    parser.add_argument(
-        "--campaign-seed", type=int, default=11,
-        help="campaign bench master seed (default: 11, the golden seed)")
-    parser.add_argument(
-        "--diff", nargs="*", metavar="ARTIFACT", default=None,
-        help="with two paths: compare those bench artifacts and exit "
-             "(no benches run); with no paths: run the benches and "
-             "diff the fresh numbers against the committed baselines")
-    parser.add_argument(
-        "--threshold", type=float, default=0.10, metavar="FRACTION",
-        help="events/sec drop beyond this fraction fails --diff "
-             "(default: 0.10)")
-    return parser
-
-
-def _bench(argv: List[str]) -> int:
-    from .experiments.bench import run_bench, run_bench_diff
-    args = build_bench_parser().parse_args(argv)
-    if args.diff is not None and len(args.diff) == 2:
-        return run_bench_diff(Path(args.diff[0]), Path(args.diff[1]),
-                              threshold=args.threshold)
-    if args.diff is not None and args.diff:
-        print("--diff takes exactly two artifact paths, or none to "
-              "diff a fresh run against the committed baselines",
-              file=sys.stderr)
-        return 2
-    return run_bench(Path(args.out_dir), quick=args.quick,
-                     check=args.check,
-                     baseline_dir=Path(args.baseline_dir)
-                     if args.baseline_dir else None,
-                     only=args.only, engine_seed=args.seed,
-                     campaign_seed=args.campaign_seed,
-                     diff_baseline=args.diff is not None,
-                     threshold=args.threshold)
 
 
 def build_status_parser() -> argparse.ArgumentParser:
@@ -611,8 +538,6 @@ def _main(argv: Optional[List[str]] = None) -> int:
         argv = argv[1:]  # "repro run fig06" == "repro fig06"
     if argv and argv[0] == "report":
         return _report(argv[1:])
-    if argv and argv[0] == "bench":
-        return _bench(argv[1:])
     if argv and argv[0] in ("status", "top"):
         handler = _status if argv[0] == "status" else _top
         return handler(argv[1:])

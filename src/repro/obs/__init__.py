@@ -22,15 +22,15 @@ measurement substrate.  Three facets, bundled by
   peer-pair sketch behind ``--flows`` / ``repro flows``,
 * :mod:`repro.obs.attribution` — per-subsystem wall-time buckets
   (transport / protocol / playback / faults / engine dispatch / ...)
-  derived from the profiler, embedded in the ``BENCH_*.json`` perf
-  artifacts and diffed by ``repro bench --diff``.
+  derived from the profiler; ``benchmarks/perf`` reports them per
+  workload with ``--trace 1``.
 
 See ``docs/OBSERVABILITY.md`` for the metric catalog, trace schema and
 span model.
 """
 
 from .attribution import (LABEL_SUBSYSTEMS, SUBSYSTEMS, build_attribution,
-                          render_attribution, subsystem_of)
+                          subsystem_of)
 from .export import (metrics_to_records, read_metrics_csv,
                      read_metrics_jsonl, strip_wall_metrics,
                      write_metrics_csv, write_metrics_jsonl)
@@ -82,7 +82,7 @@ __all__ = [
     "render_flow_summary", "render_flow_matrix", "render_flow_windows",
     "render_flow_top",
     "SUBSYSTEMS", "LABEL_SUBSYSTEMS", "subsystem_of",
-    "build_attribution", "render_attribution",
+    "build_attribution",
     "metrics_to_records", "strip_wall_metrics",
     "write_metrics_jsonl", "read_metrics_jsonl",
     "write_metrics_csv", "read_metrics_csv",

@@ -1,8 +1,7 @@
 """Tests for per-subsystem wall-time attribution (obs.attribution)."""
 
 from repro.obs.attribution import (LABEL_SUBSYSTEMS, SUBSYSTEMS,
-                                   build_attribution, render_attribution,
-                                   subsystem_of)
+                                   build_attribution, subsystem_of)
 from repro.obs.profiler import EngineProfiler
 
 
@@ -80,10 +79,3 @@ class TestBuildAttribution:
         attribution = build_attribution(profiler, 1.0)
         assert attribution["buckets"]["transport"]["share"] == 0.5
         assert attribution["total_wall_seconds"] == 1.0
-
-    def test_render_smoke(self):
-        profiler = _profiler({"udp-deliver": (2, 0.2)}, {"sim": 0.3})
-        text = render_attribution(build_attribution(profiler, 0.3))
-        assert "transport" in text
-        assert "covered" in text
-        assert render_attribution(None) == "(no attribution block)"

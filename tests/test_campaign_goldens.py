@@ -4,7 +4,9 @@ Pins the rendered Figure 6 table and a digest of the per-day locality
 series for a small, fast campaign configuration, so that refactors of
 the campaign/parallel machinery cannot silently shift the paper's
 headline reproduction.  The same goldens are asserted against a
-``jobs=4`` run, proving the parallel path cannot drift either.
+``jobs=4`` run, proving the parallel path cannot drift either.  A
+second, six-day campaign with larger audiences and longer sessions is
+pinned the same way (run at ``jobs=2``).
 
 If a change *intentionally* alters campaign results (new model physics,
 recalibration), regenerate the constants below with::
@@ -19,7 +21,7 @@ recalibration), regenerate the constants below with::
     t = Figure6(result=r).render()
     print(hashlib.sha256(t.encode()).hexdigest(), _series_digest(r))"
 
-and say so in the commit message.
+(``SIX_DAY_CONFIG`` likewise) and say so in the commit message.
 """
 
 import hashlib
@@ -48,6 +50,20 @@ GOLDEN_SERIES_DIGEST = \
 GOLDEN_POPULAR_TELE = [78.50002925045902, 74.97386921027905,
                        72.33998371369722]
 GOLDEN_POPULAR_POPULATIONS = [11, 10, 12]
+
+
+def SIX_DAY_CONFIG() -> CampaignConfig:
+    """Seed 11 over six days: 14/8 viewers, 80 + 240 s sessions."""
+    return CampaignConfig(seed=11, days=6, popular_population=14,
+                          unpopular_population=8,
+                          session_duration=240.0, warmup=80.0)
+
+
+#: The table and series digests for SIX_DAY_CONFIG.
+SIX_DAY_TABLE_DIGEST = \
+    "559d1877d6a25e05905da606b94d4967d6b7367c0d4259807e22b3b5e84145b9"
+SIX_DAY_SERIES_DIGEST = \
+    "9dd98fb55908f0d00766eeebfcb38f2fc4dad3aff3ff36bf7fc245c11e51888b"
 
 
 def _series_digest(result) -> str:
@@ -87,3 +103,10 @@ class TestCampaignGoldens:
         assert (hashlib.sha256(text.encode()).hexdigest()
                 == GOLDEN_TABLE_DIGEST)
         assert _series_digest(result) == GOLDEN_SERIES_DIGEST
+
+    def test_six_day_campaign_is_pinned(self):
+        result = run_campaign(SIX_DAY_CONFIG(), jobs=2)
+        text = Figure6(result=result).render()
+        assert (hashlib.sha256(text.encode()).hexdigest()
+                == SIX_DAY_TABLE_DIGEST), text
+        assert _series_digest(result) == SIX_DAY_SERIES_DIGEST

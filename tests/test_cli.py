@@ -7,9 +7,9 @@ import sys
 import pytest
 
 from repro import __version__
-from repro.cli import (build_bench_parser, build_instrumentation,
-                       build_parser, build_report_parser,
-                       build_status_parser, build_top_parser, main)
+from repro.cli import (build_instrumentation, build_parser,
+                       build_report_parser, build_status_parser,
+                       build_top_parser, main)
 from repro.experiments import ALL_EXPERIMENT_IDS, EXPERIMENT_DESCRIPTIONS
 
 
@@ -75,17 +75,6 @@ class TestParser:
             ["fig06", "--progress-jsonl", "p.jsonl"])
         assert args.progress_jsonl == "p.jsonl"
         assert build_parser().parse_args(["fig06"]).progress_jsonl is None
-
-    def test_bench_parser_diff_and_threshold(self):
-        parser = build_bench_parser()
-        args = parser.parse_args(["--diff", "a.json", "b.json"])
-        assert args.diff == ["a.json", "b.json"]
-        assert args.threshold == 0.10
-        args = parser.parse_args(["--diff"])
-        assert args.diff == []
-        args = parser.parse_args(["--threshold", "0.25"])
-        assert args.diff is None
-        assert args.threshold == 0.25
 
     def test_status_and_top_parsers(self):
         args = build_status_parser().parse_args(["p.jsonl", "--json"])

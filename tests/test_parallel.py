@@ -8,7 +8,6 @@ throughput but never output, and the serial path's campaign-level event
 stream is exactly what it was before the parallel layer existed.
 """
 
-import hashlib
 import multiprocessing
 import os
 import time
@@ -25,9 +24,10 @@ from repro.parallel import (KILL_SWITCH_ENV, WHERE_FALLBACK, WHERE_POOL,
                             kill_switch_hook, merge_by_key,
                             open_checkpoint, run_jobs, run_seed_sweep,
                             run_units)
-from repro.streaming.video import Popularity
 from repro.workload.campaign import CampaignConfig, run_campaign
 from repro.workload.scenario import ScenarioConfig
+
+from .test_campaign_goldens import _series_digest
 
 
 # ----------------------------------------------------------------------
@@ -53,16 +53,6 @@ def _sleep_in_worker(x):
 
 def _always_raise(x):
     raise ValueError(f"deterministic failure for {x}")
-
-
-def _series_digest(result):
-    """Stable digest over all six locality curves of a campaign."""
-    parts = []
-    for popularity in (Popularity.POPULAR, Popularity.UNPOPULAR):
-        for curve in ("CNC", "TELE", "Mason"):
-            parts.append(",".join(f"{value:.9e}" for value
-                                  in result.series(popularity, curve)))
-    return hashlib.sha256("|".join(parts).encode()).hexdigest()
 
 
 TINY_CAMPAIGN = dict(seed=11, days=2, popular_population=10,

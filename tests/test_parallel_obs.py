@@ -8,7 +8,6 @@ execution even with a full bundle — spans, profiler, heartbeat —
 enabled in the parent.
 """
 
-import hashlib
 import io
 
 import pytest
@@ -19,6 +18,8 @@ from repro.parallel import Job, execute_jobs
 from repro.streaming.video import Popularity
 from repro.workload.campaign import CampaignConfig, run_campaign
 
+from .test_campaign_goldens import _series_digest
+
 TINY_CAMPAIGN = dict(seed=11, days=2, popular_population=10,
                      unpopular_population=6, session_duration=120.0,
                      warmup=60.0)
@@ -26,15 +27,6 @@ TINY_CAMPAIGN = dict(seed=11, days=2, popular_population=10,
 
 def _square(x):
     return x * x
-
-
-def _series_digest(result):
-    parts = []
-    for popularity in (Popularity.POPULAR, Popularity.UNPOPULAR):
-        for curve in ("CNC", "TELE", "Mason"):
-            parts.append(",".join(f"{value:.9e}" for value
-                                  in result.series(popularity, curve)))
-    return hashlib.sha256("|".join(parts).encode()).hexdigest()
 
 
 def _full_bundle():
