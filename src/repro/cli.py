@@ -493,10 +493,26 @@ def _report(argv: List[str]) -> int:
     from .experiments.scorecard import (append_trend, build_scorecard,
                                         perf_from_artifacts)
     args = build_report_parser().parse_args(argv)
+    perf = None
+    if args.metrics_in or args.spans_in:
+        # Read the artifacts before the scored sessions run, so a bad
+        # one fails at once instead of after minutes of simulation.
+        path = args.metrics_in
+        try:
+            perf = perf_from_artifacts(metrics_path=path)
+            path = args.spans_in
+            perf.spans_recorded = perf_from_artifacts(
+                spans_path=path).spans_recorded
+        except OSError as exc:
+            print(f"cannot read {path}: {exc}", file=sys.stderr)
+            return 2
+        except ValueError as exc:
+            print(f"corrupt artifact {path}: {exc}", file=sys.stderr)
+            return 2
     card = build_scorecard(scale=Scale(args.scale), seed=args.seed,
                            label=args.label)
-    if args.metrics_in or args.spans_in:
-        card.perf = perf_from_artifacts(args.metrics_in, args.spans_in)
+    if perf is not None:
+        card.perf = perf
 
     fmt = args.format
     if fmt is None:

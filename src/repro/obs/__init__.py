@@ -23,7 +23,10 @@ measurement substrate.  Three facets, bundled by
 * :mod:`repro.obs.attribution` — per-subsystem wall-time buckets
   (transport / protocol / playback / faults / engine dispatch / ...)
   derived from the profiler; ``benchmarks/perf`` reports them per
-  workload with ``--trace 1``.
+  workload with ``--trace 1``,
+* :mod:`repro.obs.jsonl` — the JSON codec every artifact sink writes
+  with and every artifact reader decodes through (records of one read
+  share their key and string objects).
 
 See ``docs/OBSERVABILITY.md`` for the metric catalog, trace schema and
 span model.

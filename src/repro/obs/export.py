@@ -13,6 +13,7 @@ import csv
 import json
 from typing import IO, List, Union
 
+from .jsonl import read_jsonl
 from .metrics import MetricsRegistry
 
 #: Metric-name fragment marking non-deterministic (wall-clock) series.
@@ -54,14 +55,8 @@ def write_metrics_jsonl(registry: MetricsRegistry,
             handle.close()
 
 
-def read_metrics_jsonl(path_or_file: Union[str, IO[str]]) -> List[dict]:
-    """Parse a JSONL metrics dump back into record dicts."""
-    if isinstance(path_or_file, str):
-        with open(path_or_file, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-    else:
-        lines = path_or_file.readlines()
-    return [json.loads(line) for line in lines if line.strip()]
+#: Parse a JSONL metrics dump (path or open text file) into record dicts.
+read_metrics_jsonl = read_jsonl
 
 
 def write_metrics_csv(registry: MetricsRegistry,

@@ -1,0 +1,77 @@
+"""The JSON codec shared by every observability artifact.
+
+:func:`encode_record` is the line encoder of the JSONL sinks (spans,
+trace records, progress records): exactly ``json.dumps(record,
+default=str, separators=(",", ":"))``, with the encoder built once
+instead of on every call, so the bytes are the same.
+
+:func:`shared_decoder` is what every artifact reader parses through.
+A span file repeats a few dozen keys and string values across tens of
+thousands of records, and ``json.loads`` gives each record private
+copies of them.  The decoder keeps one table for the length of one
+read, and every dict it builds, nested ones included, takes its keys
+and string values from it.  The records stay plain dicts equal to what
+``json.loads`` returns; strings inside arrays are left as decoded.
+:func:`read_jsonl` is the strict reader behind ``read_spans_jsonl``,
+``read_trace_jsonl`` and ``read_metrics_jsonl``.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+from contextlib import contextmanager
+from typing import IO, Callable, Iterator, List, Union
+
+#: A path or an open text file.
+PathOrFile = Union[str, "os.PathLike[str]", IO[str]]
+
+#: One record -> its compact JSON line (no newline); non-JSON values
+#: are written as ``str(value)``.
+encode_record: Callable[[object], str] = json.JSONEncoder(
+    default=str, separators=(",", ":")).encode
+
+
+def shared_decoder() -> Callable[[str], object]:
+    """A ``json.loads`` for one read whose dicts share strings.
+
+    Make one per read: the table lives as long as the returned
+    callable, so nothing is kept between reads.
+    """
+    table: dict = {}
+    share = table.setdefault
+
+    def build(pairs):
+        return {share(key, key):
+                share(value, value) if type(value) is str else value
+                for key, value in pairs}
+
+    return json.JSONDecoder(object_pairs_hook=build).decode
+
+
+@contextmanager
+def open_text(path_or_file: PathOrFile) -> Iterator[IO[str]]:
+    """A path opened for UTF-8 reading (closed on exit), or the
+    caller's open file as given (left open)."""
+    if isinstance(path_or_file, (str, os.PathLike)):
+        with open(path_or_file, "r", encoding="utf-8") as handle:
+            yield handle
+    else:
+        yield path_or_file
+
+
+def read_jsonl(path_or_file: PathOrFile) -> List[dict]:
+    """Parse a JSONL artifact into record dicts.
+
+    Takes a path or an open text file (read from its current
+    position).  Blank lines are skipped; any malformed line raises
+    ``ValueError``.
+    """
+    decode = shared_decoder()
+    records = []
+    with open_text(path_or_file) as handle:
+        for line in handle:
+            line = line.strip()
+            if line:
+                records.append(decode(line))
+    return records

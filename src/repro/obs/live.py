@@ -25,11 +25,12 @@ two halves behind ``repro status`` and ``repro top``.
 
 from __future__ import annotations
 
-import json
 import resource
 import sys
 import time
-from typing import IO, Dict, List, Optional, Union
+from typing import IO, List, Optional, Union
+
+from .jsonl import PathOrFile, encode_record, open_text, shared_decoder
 
 #: Record kinds emitted by the bus (not exhaustive; the bus accepts any).
 KIND_RUN_START = "run_start"
@@ -102,8 +103,7 @@ class ProgressBus:
         record.update(fields)
         record["wall_seconds"] = round(
             time.perf_counter() - self._started, 3)
-        self._file.write(json.dumps(record, default=str,
-                                    separators=(",", ":")) + "\n")
+        self._file.write(encode_record(record) + "\n")
         self._file.flush()
         self.records_written += 1
 
@@ -141,8 +141,7 @@ class ProgressBus:
 # ----------------------------------------------------------------------
 # Reading (live- and finished-run tolerant)
 # ----------------------------------------------------------------------
-def read_progress(path_or_file: Union[str, IO[str]], *,
-                  with_tail: bool = False):
+def read_progress(path_or_file: PathOrFile, *, with_tail: bool = False):
     """Parse a progress JSONL stream into record dicts.
 
     Tolerates a partially-written final line (a live run flushing
@@ -156,11 +155,9 @@ def read_progress(path_or_file: Union[str, IO[str]], *,
     readers use it to distinguish "no records yet" from "nothing but a
     torn fragment", which deserve different exit codes.
     """
-    if isinstance(path_or_file, str):
-        with open(path_or_file, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    else:
-        lines = path_or_file.read().splitlines()
+    with open_text(path_or_file) as handle:
+        lines = handle.readlines()
+    decode = shared_decoder()
     records: List[dict] = []
     tail = ""
     for index, line in enumerate(lines):
@@ -168,7 +165,7 @@ def read_progress(path_or_file: Union[str, IO[str]], *,
         if not line:
             continue
         try:
-            record = json.loads(line)
+            record = decode(line)
             if not isinstance(record, dict):
                 raise ValueError(
                     f"line {index + 1} is not a JSON object: {line[:80]!r}")

@@ -41,6 +41,9 @@ from __future__ import annotations
 import json
 from typing import IO, Dict, List, Optional, Sequence, Union
 
+from .jsonl import (PathOrFile, encode_record, open_text, read_jsonl,
+                    shared_decoder)
+
 #: Span status values used by the instrumented chains.  Free-form
 #: strings are allowed; these are the conventional ones.
 STATUS_OK = "ok"
@@ -235,8 +238,7 @@ class JsonlSpanSink(SpanSink):
             self._owns_file = False
 
     def _write(self, span: Span) -> None:
-        self._file.write(json.dumps(span.to_record(), default=str,
-                                    separators=(",", ":")) + "\n")
+        self._file.write(encode_record(span.to_record()) + "\n")
 
     def close(self) -> None:
         self._file.flush()
@@ -341,25 +343,18 @@ class TeeSpanSink(SpanSink):
 # ----------------------------------------------------------------------
 # Reading / validation helpers
 # ----------------------------------------------------------------------
-def read_spans_jsonl(path: str) -> List[dict]:
-    """Parse a JSONL span file back into record dicts."""
-    records = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
+#: Parse a JSONL span file (path or open text file) into record dicts.
+read_spans_jsonl = read_jsonl
 
 
-def read_chrome_trace(path: str) -> List[dict]:
+def read_chrome_trace(path_or_file: PathOrFile) -> List[dict]:
     """Load a Chrome trace file and return its event list.
 
     Accepts both the object form (``{"traceEvents": [...]}`` — what
     :class:`ChromeTraceSink` writes) and the bare-array form.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
+    with open_text(path_or_file) as handle:
+        document = shared_decoder()(handle.read())
     if isinstance(document, dict):
         return document["traceEvents"]
     return document

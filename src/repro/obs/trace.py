@@ -23,10 +23,11 @@ Severity levels reuse the stdlib numeric scale so bridging is a no-op.
 
 from __future__ import annotations
 
-import json
 import logging
 from collections import deque
 from typing import IO, Deque, List, Optional, Sequence, Union
+
+from .jsonl import encode_record, read_jsonl
 
 DEBUG = logging.DEBUG      # 10
 INFO = logging.INFO        # 20
@@ -107,8 +108,7 @@ class JsonlSink(TraceSink):
         record = {"t": time, "level": LEVEL_NAMES.get(level, str(level)),
                   "event": event}
         record.update(fields)
-        self._file.write(json.dumps(record, default=str,
-                                    separators=(",", ":")) + "\n")
+        self._file.write(encode_record(record) + "\n")
         self.records_written += 1
 
     def close(self) -> None:
@@ -179,12 +179,5 @@ class TeeSink(TraceSink):
             sink.close()
 
 
-def read_trace_jsonl(path: str) -> List[dict]:
-    """Parse a JSONL trace file back into record dicts."""
-    records = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
+#: Parse a JSONL trace file (path or open text file) into record dicts.
+read_trace_jsonl = read_jsonl

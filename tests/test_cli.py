@@ -3,6 +3,7 @@
 import io
 import json
 import sys
+import time
 
 import pytest
 
@@ -314,6 +315,35 @@ class TestReportCommand:
         capsys.readouterr()
         text = (tmp_path / "card.md").read_text()
         assert "spans recorded: 1" in text
+
+    @pytest.fixture
+    def no_scoring(self, monkeypatch):
+        def refuse(scale, seed, label=""):
+            raise AssertionError("the scored sessions ran before the "
+                                 "artifacts were read")
+
+        monkeypatch.setattr("repro.experiments.scorecard.build_scorecard",
+                            refuse)
+
+    def test_report_missing_artifact_fails_fast(self, tmp_path, capsys,
+                                                no_scoring):
+        missing = tmp_path / "absent.jsonl"
+        started = time.perf_counter()
+        assert main(["report", "--no-trend",
+                     "--spans-in", str(missing)]) == 2
+        assert time.perf_counter() - started < 1.0
+        assert f"cannot read {missing}:" in capsys.readouterr().err
+
+    def test_report_corrupt_artifact_fails_fast(self, tmp_path, capsys,
+                                                no_scoring):
+        metrics = tmp_path / "m.jsonl"
+        metrics.write_text('{"name":"a","value":1}\nnot json\n'
+                           '{"name":"b","value":2}\n')
+        started = time.perf_counter()
+        assert main(["report", "--no-trend",
+                     "--metrics-in", str(metrics)]) == 2
+        assert time.perf_counter() - started < 1.0
+        assert f"corrupt artifact {metrics}:" in capsys.readouterr().err
 
 
 class TestProgressTelemetry:

@@ -445,26 +445,33 @@ def _tiny_session(obs):
     return bank.session("tele", Popularity.POPULAR, Scale.SMALL, seed=11)
 
 
+def _observed_session():
+    """A tiny session under a RingSink trace and the profiler."""
+    obs = Instrumentation(trace=RingSink(capacity=100_000),
+                          profiler=EngineProfiler())
+    _tiny_session(obs)
+    obs.finalize()
+    return obs
+
+
+def _stripped_dump(obs):
+    return json.dumps(strip_wall_metrics(metrics_to_records(obs.metrics)),
+                      sort_keys=True)
+
+
 class TestInstrumentedSession:
-    def test_session_populates_all_layers(self):
-        obs = Instrumentation(trace=RingSink(capacity=100_000),
-                              profiler=EngineProfiler())
-        _tiny_session(obs)
-        obs.finalize()
-        layers = {name.split(".")[0] for name in obs.metrics.names()}
+    @pytest.fixture(scope="class")
+    def observed(self):
+        return _observed_session()
+
+    def test_session_populates_all_layers(self, observed):
+        layers = {name.split(".")[0] for name in observed.metrics.names()}
         assert {"sim", "net", "proto", "streaming"} <= layers
-        assert len(obs.metrics.names()) >= 10
-        events = {r["event"] for r in obs.trace.records}
+        assert len(observed.metrics.names()) >= 10
+        events = {r["event"] for r in observed.trace.records}
         assert {"session_start", "session_end", "heartbeat",
                 "peer_join"} <= events
 
-    def test_same_seed_gives_identical_dumps(self):
-        dumps = []
-        for _ in range(2):
-            obs = Instrumentation(profiler=EngineProfiler())
-            _tiny_session(obs)
-            obs.finalize()
-            dumps.append(json.dumps(
-                strip_wall_metrics(metrics_to_records(obs.metrics)),
-                sort_keys=True))
-        assert dumps[0] == dumps[1]
+    def test_same_seed_gives_identical_dumps(self, observed):
+        assert _stripped_dump(observed) == \
+            _stripped_dump(_observed_session())
