@@ -18,8 +18,7 @@ Determinism contract: a model draws *only* from ``self.rng`` (its own
 ``random.Random``, seeded by the fault injector from the adversary
 event's stream), never from the host peer's streams — attaching an
 adversary therefore perturbs no honest peer's draw sequence, and the
-honest code path never even reads these objects.  Models snapshot and
-restore their full state (RNG included) for checkpoint/resume.
+honest code path never even reads these objects.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ class AdversaryModel:
 
     def __init__(self, seed: int) -> None:
         self.rng = random.Random(seed)
-        self.seed = seed
 
     # ------------------------------------------------------------------
     # Override points (honest defaults)
@@ -60,17 +58,6 @@ class AdversaryModel:
         insertion order).
         """
         return None
-
-    # ------------------------------------------------------------------
-    # Snapshot / restore
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict:
-        return {"behavior": self.BEHAVIOR, "seed": self.seed,
-                "rng": self.rng.getstate()}
-
-    def restore_state(self, state: dict) -> None:
-        self.seed = state["seed"]
-        self.rng.setstate(state["rng"])
 
 
 class FreeRider(AdversaryModel):

@@ -134,6 +134,10 @@ class ChaosRun:
     total_crashed: int
     faults_begun: int
     faults_ended: int
+    #: Engine events the session executed; the session ran without
+    #: instrumentation, so :func:`_emit_chaos` folds this count into
+    #: the run's ``sim.events_executed``.
+    events_executed: int = 0
 
     def bins_between(self, start: float, end: float) -> List[BinSample]:
         return [b for b in self.bins if start < b.time <= end + 1e-9]
@@ -244,6 +248,7 @@ def _chaos_session_job(params: ChaosParams,
         total_crashed=result.population.total_crashed,
         faults_begun=injector.faults_begun if injector else 0,
         faults_ended=injector.faults_ended if injector else 0,
+        events_executed=result.deployment.sim.events_executed,
     )
 
 
@@ -444,6 +449,10 @@ def _emit_chaos(obs: Instrumentation, result: ChaosResult) -> None:
     if not obs.enabled:
         return
     metrics = obs.metrics
+    # Both sessions ran as uninstrumented jobs, so their engine events
+    # are counted here: the run_summary footer sums them.
+    metrics.counter("sim.events_executed").inc(
+        result.baseline.events_executed + result.faulted.events_executed)
     metrics.gauge("chaos.continuity_baseline").set(
         round(result.baseline.overall_continuity, 6))
     metrics.gauge("chaos.continuity_faulted").set(

@@ -5,8 +5,8 @@ locality, transit vs intra-ISP volume, contribution skew — but the rest
 of the observability stack only measures *how fast* a run is going.
 This module closes that gap with a constant-memory ledger that attaches
 to the transport's flow-sink seam (:meth:`repro.network.transport
-.UdpNetwork.set_flow_sink`; the general tap seam works too) and
-accounts every *delivered* datagram into:
+.UdpNetwork.set_flow_sink`) and accounts every *delivered* datagram
+into:
 
 1. an ISP x ISP x message-kind traffic matrix (bytes and datagrams),
    each cell classified as ``intra`` (same AS), ``transoceanic``
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush, heapreplace
+from heapq import heappop, heappush, heapreplace
 from operator import itemgetter
 from typing import (IO, Any, Dict, List, Optional, Sequence, Tuple,
                     Union)
@@ -181,17 +181,6 @@ class SpaceSavingSketch:
                 for key, entry in sorted(self._counts.items(),
                                          key=lambda kv: (-kv[1][0], kv[0]))]
 
-    def load_items(self, items: Sequence[Sequence[Any]]) -> None:
-        self._counts = {str(key): [int(count), int(error)]
-                        for key, count, error in items}
-        if len(self._counts) > self.capacity:
-            raise ValueError(
-                f"sketch state holds {len(self._counts)} keys, over the "
-                f"capacity {self.capacity}")
-        self._heap = [[entry[0], key]
-                      for key, entry in self._counts.items()]
-        heapify(self._heap)
-
     @staticmethod
     def merged_items(capacity: int,
                      item_lists: Sequence[Sequence[Sequence[Any]]]
@@ -220,14 +209,12 @@ class SpaceSavingSketch:
 class FlowLedger:
     """Constant-memory flow accounting for one session.
 
-    Attach with ``udp.set_flow_sink(ledger.sink)`` (the dedicated
-    delivered-datagram seam; ``udp.add_tap(ledger.tap,
-    events=("recv",))`` is the general-seam equivalent).  Only
-    deliveries are accounted (the same quantity as the transport's
-    ``bytes_delivered`` counter, wire bytes = payload + 28-byte
-    header).  Memory is bounded by |ISPs|^2 x |message kinds| matrix
-    cells, the number of *non-empty* windows, and the sketch capacity —
-    never by datagram count.
+    Attach with ``udp.set_flow_sink(ledger.sink)``, the transport's
+    delivered-datagram seam.  Only deliveries are accounted (the same
+    quantity as the transport's ``bytes_delivered`` counter, wire
+    bytes = payload + 28-byte header).  Memory is bounded by |ISPs|^2
+    x |message kinds| matrix cells, the number of *non-empty* windows,
+    and the sketch capacity — never by datagram count.
 
     The per-datagram path does almost nothing: it bumps a pending
     ``(src, dst, kind) -> [bytes, datagrams]`` accumulator and checks
@@ -246,25 +233,23 @@ class FlowLedger:
     """
 
     __slots__ = (
-        "spec", "_window", "_directory", "_catalog", "_header_bytes",
-        "_classify", "_intra_class", "_ocean_class", "_isp_cache",
-        "_scope_cache", "_pair_cache", "totals", "_matrix", "_windows",
-        "_win", "_acc", "_fold_cache", "_pair_slots", "_isp_io",
-        "_win_until", "_sketch", "datagrams_ignored", "_adversarial")
+        "spec", "_window", "_directory", "_catalog", "_classify",
+        "_intra_class", "_ocean_class", "_isp_cache", "_scope_cache",
+        "_pair_cache", "totals", "_matrix", "_windows", "_win", "_acc",
+        "_fold_cache", "_pair_slots", "_isp_io", "_win_until", "_sketch",
+        "datagrams_ignored", "_adversarial")
 
     def __init__(self, directory, catalog,
                  spec: Optional[FlowSpec] = None) -> None:
         # Deferred import: repro.network imports repro.obs at module
         # load, so the obs package cannot import network symbols at the
         # top level without an import cycle.
-        from ..network.datagram import HEADER_BYTES
         from ..network.latency import PairClass, classify_pair
         self.spec = spec if spec is not None else FlowSpec()
         self.spec.validate()
         self._window = self.spec.window
         self._directory = directory
         self._catalog = catalog
-        self._header_bytes = HEADER_BYTES
         self._classify = classify_pair
         self._intra_class = PairClass.INTRA_ISP
         self._ocean_class = PairClass.TRANSOCEANIC
@@ -342,25 +327,6 @@ class FlowLedger:
             acc[0] += wire_bytes
             acc[1] += 1
 
-    def tap(self, event: str, datagram, time: float) -> None:
-        """Tap-seam attachment: account delivered datagrams only.
-
-        Equivalent to :meth:`sink` for ``recv`` events; useful when the
-        ledger shares the general tap seam with other observers.
-        """
-        if event != "recv":
-            return
-        if time >= self._win_until:
-            self._roll(time)
-        key = (datagram.src, datagram.dst, datagram.payload.__class__)
-        acc = self._acc.get(key)
-        if acc is None:
-            self._acc[key] = [
-                datagram.payload_bytes + self._header_bytes, 1]
-        else:
-            acc[0] += datagram.payload_bytes + self._header_bytes
-            acc[1] += 1
-
     def _isp_of(self, address: str):
         isp = self._isp_cache.get(address, _UNRESOLVED)
         if isp is not _UNRESOLVED:
@@ -418,9 +384,9 @@ class FlowLedger:
         needs that does not change between folds.
 
         ``key[2]`` is the payload class when the hot path accumulated
-        it (:meth:`sink` / :meth:`tap`) or already a kind string
-        (:meth:`record`); either way the matrix cell is keyed by the
-        kind *name*, so both spellings fold into the same cell.
+        it (:meth:`sink`) or already a kind string (:meth:`record`);
+        either way the matrix cell is keyed by the kind *name*, so both
+        spellings fold into the same cell.
         """
         src, dst, kind = key
         if not isinstance(kind, str):
@@ -620,17 +586,15 @@ class FlowLedger:
             del self._fold_cache[key]
 
     # ------------------------------------------------------------------
-    # Snapshot / restore (checkpoint seam + artifact payload)
+    # Payload (artifact unit records and checkpoint units)
     # ------------------------------------------------------------------
     def snapshot_state(self) -> dict:
-        """Full-fidelity, JSON-safe state (a JSON round-trip fixed point).
+        """The ledger's JSON-safe payload (a JSON round-trip fixed point).
 
-        After :meth:`finish` this doubles as the artifact/unit payload;
-        mid-run it is a *fold point* — pending aggregates fold in first,
-        the open window rides along — and a restored ledger continues
-        byte-identically with a run that folded at the same sim time.
-        Campaign checkpoints only ever snapshot finished units, where
-        every fold has already happened.
+        After :meth:`finish` this is what a flows artifact's unit
+        record and a checkpoint unit carry.  Mid-run it is a *fold
+        point*: pending aggregates fold in first and the open window
+        rides along.
         """
         self._fold_pending()
         totals = dict(sorted(self.totals.items()))
@@ -656,40 +620,6 @@ class FlowLedger:
         if self._adversarial:
             state["adversarial"] = sorted(self._adversarial)
         return state
-
-    def restore_state(self, state: dict) -> None:
-        """Restore a :meth:`snapshot_state` dict (exact fixed point)."""
-        validate_flow_payload(state, self.spec)
-        self.totals = {key: int(value)
-                       for key, value in state["totals"].items()}
-        self._adversarial = set(state.get("adversarial", []))
-        self._matrix = {
-            (src, dst, kind): [scope, int(n_bytes), int(n_datagrams)]
-            for src, dst, kind, scope, n_bytes, n_datagrams
-            in state["matrix"]}
-        self._windows = [list(row[:6]) + [{name: [int(v) for v in in_out]
-                                           for name, in_out
-                                           in row[6].items()}]
-                         for row in state["windows"]]
-        self._sketch = SpaceSavingSketch(self.spec.top_k)
-        self._sketch.load_items(state["top"])
-        self._acc = {}
-        # Plans point at the replaced matrix cells and drained slots;
-        # rebuild all three together (slots are always zero post-fold,
-        # so this is about object identity, not lost counts).
-        self._fold_cache = {}
-        self._pair_slots = {}
-        self._isp_io = {}
-        open_window = state.get("open_window")
-        if open_window is None:
-            self._win = None
-            self._win_until = -1.0
-        else:
-            self._win = list(open_window[:6]) + [
-                {name: [int(v) for v in in_out]
-                 for name, in_out in open_window[6].items()}]
-            self._win_until = (open_window[0] + 1) * self._window
-        self.datagrams_ignored = int(state.get("datagrams_ignored", 0))
 
 
 #: Sentinel distinguishing "never looked up" from "resolved to None".

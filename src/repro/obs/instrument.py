@@ -35,7 +35,6 @@ class Instrumentation:
                  spans: Optional[SpanSink] = None,
                  progress: bool = False,
                  progress_stream: Optional[TextIO] = None,
-                 heartbeat_interval: float = 30.0,
                  progress_bus: Optional[ProgressBus] = None,
                  heartbeat: bool = True,
                  flows: Optional["FlowsWriter"] = None,
@@ -46,7 +45,6 @@ class Instrumentation:
         self.profiler = profiler
         self.progress = progress
         self.progress_stream = progress_stream
-        self.heartbeat_interval = heartbeat_interval
         #: Streaming progress.jsonl writer (``--progress-jsonl``);
         #: parent-side only, never shipped to worker processes.
         self.progress_bus = progress_bus

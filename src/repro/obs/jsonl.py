@@ -13,7 +13,9 @@ read, and every dict it builds, nested ones included, takes its keys
 and string values from it.  The records stay plain dicts equal to what
 ``json.loads`` returns; strings inside arrays are left as decoded.
 :func:`read_jsonl` is the strict reader behind ``read_spans_jsonl``,
-``read_trace_jsonl`` and ``read_metrics_jsonl``.
+``read_trace_jsonl`` and ``read_metrics_jsonl``.  Every JSONL reader
+decodes one line at a time and reports a malformed one with
+:func:`line_error`, so the message names the line of the file.
 """
 
 from __future__ import annotations
@@ -60,18 +62,35 @@ def open_text(path_or_file: PathOrFile) -> Iterator[IO[str]]:
         yield path_or_file
 
 
+def line_error(lineno: int, line: str, exc: ValueError) -> ValueError:
+    """The error for line ``lineno`` (1-based) of a JSONL file.
+
+    ``exc`` is what decoding the stripped ``line`` alone raised.  A
+    ``JSONDecodeError`` there always says "line 1", so its position is
+    restated as a column of the file's line:
+    ``line 2: Expecting value (column 1)``.
+    """
+    if isinstance(exc, json.JSONDecodeError):
+        column = exc.pos + 1 + len(line) - len(line.lstrip())
+        return ValueError(f"line {lineno}: {exc.msg} (column {column})")
+    return ValueError(f"line {lineno}: {exc}")
+
+
 def read_jsonl(path_or_file: PathOrFile) -> List[dict]:
     """Parse a JSONL artifact into record dicts.
 
     Takes a path or an open text file (read from its current
     position).  Blank lines are skipped; any malformed line raises
-    ``ValueError``.
+    ``ValueError`` naming its line (see :func:`line_error`).
     """
     decode = shared_decoder()
     records = []
     with open_text(path_or_file) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(decode(line))
+        for lineno, line in enumerate(handle, 1):
+            text = line.strip()
+            if text:
+                try:
+                    records.append(decode(text))
+                except ValueError as exc:
+                    raise line_error(lineno, line, exc) from None
     return records

@@ -30,7 +30,8 @@ import sys
 import time
 from typing import IO, List, Optional, Union
 
-from .jsonl import PathOrFile, encode_record, open_text, shared_decoder
+from .jsonl import (PathOrFile, encode_record, line_error, open_text,
+                    shared_decoder)
 
 #: Record kinds emitted by the bus (not exhaustive; the bus accepts any).
 KIND_RUN_START = "run_start"
@@ -146,9 +147,10 @@ def read_progress(path_or_file: PathOrFile, *, with_tail: bool = False):
 
     Tolerates a partially-written final line (a live run flushing
     mid-record): the torn tail is dropped from the records.  Any
-    *earlier* malformed line still raises — that is corruption, not
-    liveness.  A line that parses but is not a JSON object counts as
-    malformed too (every record in these streams is an object).
+    *earlier* malformed line still raises ``ValueError`` naming its
+    line — that is corruption, not liveness.  A line that parses but is
+    not a JSON object counts as malformed too (every record in these
+    streams is an object).
 
     With ``with_tail=True`` returns ``(records, tail)`` where ``tail``
     is the dropped torn text (``""`` if the file ended cleanly) — the
@@ -160,21 +162,24 @@ def read_progress(path_or_file: PathOrFile, *, with_tail: bool = False):
     decode = shared_decoder()
     records: List[dict] = []
     tail = ""
-    for index, line in enumerate(lines):
-        line = line.strip()
-        if not line:
+    for lineno, line in enumerate(lines, 1):
+        text = line.strip()
+        if not text:
             continue
         try:
-            record = decode(line)
-            if not isinstance(record, dict):
-                raise ValueError(
-                    f"line {index + 1} is not a JSON object: {line[:80]!r}")
-        except ValueError:
-            if index == len(lines) - 1:
-                tail = line  # torn tail of a live run
-                break
-            raise
-        records.append(record)
+            record = decode(text)
+        except ValueError as exc:
+            error = line_error(lineno, line, exc)
+        else:
+            if isinstance(record, dict):
+                records.append(record)
+                continue
+            error = ValueError(
+                f"line {lineno}: not a JSON object: {text[:80]!r}")
+        if lineno == len(lines):
+            tail = text  # torn tail of a live run
+            break
+        raise error
     if with_tail:
         return records, tail
     return records

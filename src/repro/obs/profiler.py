@@ -12,11 +12,11 @@ are not, so :meth:`export_into` publishes them under names containing
 ``wall`` which :func:`repro.obs.export.strip_wall_metrics` excludes when
 comparing runs.
 
-:class:`HeartbeatSampler` is the periodic sim-time progress beacon: at a
-fixed simulated interval it collects a caller-supplied sample (swarm
-size, neighbor fill, buffer health, ...), takes an engine sample, emits
-an ``INFO`` ``heartbeat`` trace record, and optionally prints a one-line
-progress report to a stream.
+:class:`HeartbeatSampler` is the periodic sim-time progress beacon:
+every :data:`HEARTBEAT_INTERVAL` simulated seconds it collects a
+caller-supplied sample (swarm size, neighbor fill, buffer health, ...),
+takes an engine sample, emits an ``INFO`` ``heartbeat`` trace record,
+and optionally prints a one-line progress report to a stream.
 """
 
 from __future__ import annotations
@@ -54,6 +54,9 @@ class EngineSample:
 
 
 UNLABELLED = "(unlabelled)"
+
+#: Simulated seconds between heartbeats.
+HEARTBEAT_INTERVAL = 30.0
 
 
 class EngineProfiler:
@@ -188,15 +191,15 @@ class HeartbeatSampler:
     """
 
     def __init__(self, sim, instrumentation, sample_fn: SampleFn,
-                 interval: float = 30.0, label: str = "",
-                 stream=None) -> None:
+                 label: str = "", stream=None) -> None:
         self.sim = sim
         self.obs = instrumentation
         self.sample_fn = sample_fn
         self.label = label
         self.stream = stream
         self.beats = 0
-        self._timer = sim.every(interval, self._beat, label="obs-heartbeat")
+        self._timer = sim.every(HEARTBEAT_INTERVAL, self._beat,
+                                label="obs-heartbeat")
 
     def stop(self) -> None:
         self._timer.stop()

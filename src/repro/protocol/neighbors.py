@@ -13,7 +13,6 @@ For every connected neighbor a client tracks:
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -170,29 +169,3 @@ class NeighborTable:
         """Neighbors not heard from since ``cutoff`` (candidates to drop)."""
         return [a for a, s in self._neighbors.items()
                 if s.last_heard < cutoff]
-
-    # ------------------------------------------------------------------
-    # Snapshot / restore
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict:
-        """Plain-data snapshot of the table.
-
-        Insertion order is preserved (scheduler tie-breaks iterate the
-        dict), and every :class:`NeighborState` field is captured — a
-        restored table makes identical serve/cooldown decisions.
-        """
-        return {
-            "capacity": self.capacity,
-            "total_ever_connected": self.total_ever_connected,
-            "neighbors": [dataclasses.asdict(state)
-                          for state in self._neighbors.values()],
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Rebuild the table in place from :meth:`snapshot_state`."""
-        self.capacity = state["capacity"]
-        self.total_ever_connected = state["total_ever_connected"]
-        self._neighbors = {}
-        for fields in state["neighbors"]:
-            neighbor = NeighborState(**fields)
-            self._neighbors[neighbor.address] = neighbor

@@ -80,14 +80,6 @@ class RequestRateLimiter:
     def forget(self, address: str) -> None:
         self._buckets.pop(address, None)
 
-    def snapshot_state(self) -> dict:
-        return {"buckets": {address: list(entry) for address, entry
-                            in self._buckets.items()}}
-
-    def restore_state(self, state: dict) -> None:
-        self._buckets = {address: tuple(entry) for address, entry
-                         in state["buckets"].items()}
-
 
 @dataclass
 class PendingRequest:

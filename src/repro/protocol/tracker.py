@@ -70,33 +70,6 @@ class TrackerServer(Host):
         self.peers_expired += len(stale)
 
     # ------------------------------------------------------------------
-    # Snapshot / restore
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict:
-        """Plain-data snapshot of the tracker's mutable protocol state:
-        the per-channel registry, the sampling RNG's exact state and
-        the service counters.  Restoring it reproduces the same future
-        peer-list samples and expiries."""
-        return {
-            "registry": {channel_id: dict(table) for channel_id, table
-                         in self._registry.items()},
-            "rng": self._rng.getstate(),
-            "queries_served": self.queries_served,
-            "peers_expired": self.peers_expired,
-            "rejected_messages": self.rejected_messages,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Rebuild the tracker's mutable state in place from
-        :meth:`snapshot_state`."""
-        self._registry = {channel_id: dict(table) for channel_id, table
-                          in state["registry"].items()}
-        self._rng.setstate(state["rng"])
-        self.queries_served = state["queries_served"]
-        self.peers_expired = state["peers_expired"]
-        self.rejected_messages = state.get("rejected_messages", 0)
-
-    # ------------------------------------------------------------------
     # Protocol handling
     # ------------------------------------------------------------------
     def handle_datagram(self, datagram: Datagram) -> None:

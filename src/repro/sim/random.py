@@ -50,32 +50,6 @@ class RandomRouter:
         """
         return RandomRouter(derive_seed(self.master_seed, name))
 
-    # ------------------------------------------------------------------
-    # Snapshot / restore
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict:
-        """Plain-data snapshot: master seed plus every materialised
-        substream's exact Mersenne-Twister state.
-
-        A restored router continues every stream mid-sequence — the
-        next draw from each named stream equals the draw the original
-        would have produced.  Forked child routers are *not* captured:
-        a fork derives from the master seed alone, so rebuilding one is
-        free and stateless.
-        """
-        return {"master_seed": self.master_seed,
-                "streams": {name: rng.getstate()
-                            for name, rng in self._streams.items()}}
-
-    def restore_state(self, state: dict) -> None:
-        """Rebuild this router in place from :meth:`snapshot_state`."""
-        self.master_seed = state["master_seed"]
-        self._streams = {}
-        for name, rng_state in state["streams"].items():
-            rng = random.Random()
-            rng.setstate(rng_state)
-            self._streams[name] = rng
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<RandomRouter seed={self.master_seed} "
                 f"streams={sorted(self._streams)}>")

@@ -341,7 +341,6 @@ class SessionScenario:
             stream = obs.progress_stream if obs.progress_stream is not None \
                 else sys.stderr
         return HeartbeatSampler(sim, obs, sample,
-                                interval=obs.heartbeat_interval,
                                 label=f"session seed={cfg.seed}",
                                 stream=stream)
 

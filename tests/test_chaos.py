@@ -215,6 +215,18 @@ class TestChaosObservability:
         assert len(instants) == 1
         assert instants[0].name == "fault:peer_blackout"
 
+    def test_events_executed_counts_both_sessions(self, serial_result,
+                                                  parallel_result):
+        # The run_summary footer reads this counter; the sessions run
+        # uninstrumented, so without the fold it would read 0.
+        counts = []
+        for result, obs in (serial_result, parallel_result):
+            counter = obs.metrics.get("sim.events_executed")
+            assert counter.value == (result.baseline.events_executed
+                                     + result.faulted.events_executed)
+            counts.append(counter.value)
+        assert counts[0] == counts[1] > 0
+
 
 class TestJobsEquivalence:
     def test_results_identical_across_jobs(self, serial_result,

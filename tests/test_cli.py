@@ -345,6 +345,16 @@ class TestReportCommand:
         assert time.perf_counter() - started < 1.0
         assert f"corrupt artifact {metrics}:" in capsys.readouterr().err
 
+    def test_report_corrupt_artifact_names_the_line(self, tmp_path, capsys,
+                                                    no_scoring):
+        metrics = tmp_path / "m.jsonl"
+        metrics.write_text('{"name":"a","value":1}\nnot json\n'
+                           '{"name":"b","value":2}\n')
+        assert main(["report", "--no-trend",
+                     "--metrics-in", str(metrics)]) == 2
+        assert (f"corrupt artifact {metrics}: line 2: Expecting value "
+                f"(column 1)") in capsys.readouterr().err
+
 
 class TestProgressTelemetry:
     def test_run_emits_wellformed_progress_stream(self, tmp_path, capsys):

@@ -17,6 +17,9 @@ from repro.obs.jsonl import encode_record, read_jsonl, shared_decoder
 #: tolerant one, under each public name.
 JSONL_READERS = [read_spans_jsonl, read_trace_jsonl, read_metrics_jsonl,
                  read_progress, read_flows]
+#: The same readers by public name, for test ids.
+READER_NAMES = ["read_spans_jsonl", "read_trace_jsonl",
+                "read_metrics_jsonl", "read_progress", "read_flows"]
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers()
@@ -112,6 +115,27 @@ class TestMalformedInput:
     def test_strict_reader_raises_on_any_malformed_line(self, text):
         with pytest.raises(ValueError):
             read_jsonl(io.StringIO(text))
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"a":1}\nnot json\n{"b":2}\n',
+         "line 2: Expecting value (column 1)"),
+        # Blank lines count toward the line, indent toward the column.
+        ('{"a":1}\n\n  {"b":}\n{"c":3}\n',
+         "line 3: Expecting value (column 8)"),
+    ], ids=["bad-line", "blank-and-indent"])
+    @pytest.mark.parametrize("reader", JSONL_READERS, ids=READER_NAMES)
+    def test_malformed_line_error_names_its_line(self, reader, text,
+                                                 message):
+        with pytest.raises(ValueError) as info:
+            reader(io.StringIO(text))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("reader", JSONL_READERS[:3],
+                             ids=READER_NAMES[:3])
+    def test_strict_readers_name_a_torn_last_line(self, reader):
+        # The progress and flows readers drop this line as a torn tail.
+        with pytest.raises(ValueError, match="^line 2: "):
+            reader(io.StringIO('{"a":1}\n{"b":'))
 
     @pytest.mark.parametrize("text", ['{"traceEvents":[', "[1,2"])
     def test_chrome_reader_raises_on_a_torn_document(self, text):

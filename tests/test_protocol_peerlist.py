@@ -114,19 +114,6 @@ class TestStrikesAndBans:
         assert "1.0.0.7" in pool
         assert pool.get("1.0.0.7").strikes == 1
 
-    def test_snapshot_round_trips_strikes_and_bans(self, pool):
-        pool.add("1.0.0.1", now=0.0, source=ListSource.TRACKER)
-        pool.add("1.0.0.2", now=0.0, source=ListSource.TRACKER)
-        pool.strike("1.0.0.1", now=1.0, count=2, limit=3,
-                    ban_seconds=240.0)
-        pool.strike("1.0.0.2", now=1.0, count=3, limit=3,
-                    ban_seconds=240.0)
-        restored = CandidatePool(self_address="1.0.0.99", capacity=10)
-        restored.restore_state(pool.snapshot_state())
-        assert restored.get("1.0.0.1").strikes == 2
-        assert restored.is_banned("1.0.0.2", now=2.0)
-        assert not restored.is_banned("1.0.0.2", now=242.0)
-
 
 class TestBuildPeerList:
     def test_neighbors_come_first(self, pool):

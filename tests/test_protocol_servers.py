@@ -279,19 +279,6 @@ class TestGarbagePayloads:
         sim.run()
         assert client.address in tracker.active_peers(1)
 
-    def test_tracker_rejections_survive_snapshot(self, world):
-        sim, internet, tele, config, channel = world
-        tracker = TrackerServer(sim, internet.udp,
-                                internet.allocator.allocate(tele), tele,
-                                config)
-        self.deliver(tracker, object())
-        state = tracker.snapshot_state()
-        fresh = TrackerServer(sim, internet.udp,
-                              internet.allocator.allocate(tele), tele,
-                              config)
-        fresh.restore_state(state)
-        assert fresh.rejected_messages == 1
-
     def test_bootstrap_unknown_and_malformed(self, world):
         sim, internet, tele, config, channel = world
         server = BootstrapServer(sim, internet.udp,
