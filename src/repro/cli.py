@@ -4,7 +4,7 @@ Usage::
 
     python -m repro list [--json]
     python -m repro fig02 [--scale small|default|full] [--seed N]
-    python -m repro fig02 --metrics m.jsonl --trace t.jsonl --progress
+    python -m repro fig02 --metrics m.jsonl --trace t.jsonl
     python -m repro fig02 --spans spans.json
     python -m repro table1
     python -m repro all --scale small
@@ -73,17 +73,15 @@ Observability flags (see ``docs/OBSERVABILITY.md``):
   ``chrome://tracing``), streaming JSONL otherwise,
 * ``--log-level L``   — bridge trace records into stdlib logging on
   stderr at level ``L`` (debug|info|warning|error),
-* ``--progress``      — print heartbeat progress lines to stderr,
 * ``--progress-jsonl PATH`` — stream the run's progress bus (run
   start, heartbeats, per-day/per-job completions, terminal summary)
-  to PATH as append-only JSONL; readable mid-run by ``repro status``
-  / ``repro top``.  The ``run_summary`` footer is written even when
-  the run crashes or is interrupted,
+  to PATH as append-only JSONL; watch it mid-run with ``repro
+  status`` / ``repro top``.  The ``run_summary`` footer is written
+  even when the run crashes or is interrupted,
 * ``--flows PATH``    — account every delivered datagram into the
   streaming traffic-flow ledger (ISP×ISP matrix, windowed locality,
   top-k peer-pair flows) and write the versioned JSONL artifact to
-  PATH; ``--flows-window`` / ``--flows-top`` tune the ledger.  Read
-  it with ``repro flows``.
+  PATH.  Read it with ``repro flows``.
 
 Without any of these flags the simulator runs completely
 uninstrumented and its output is byte-identical to earlier releases.
@@ -106,7 +104,7 @@ from . import __version__
 from .checkpoint import CheckpointError
 from .experiments import (ALL_EXPERIMENT_IDS, EXPERIMENT_DESCRIPTIONS,
                           Scale, WorkloadBank, run_experiment)
-from .obs import (ChromeTraceSink, EngineProfiler, FlowSpec, FlowsWriter,
+from .obs import (ChromeTraceSink, EngineProfiler, FlowsWriter,
                   Instrumentation, JsonlSink, JsonlSpanSink, LoggingSink,
                   ProgressBus, TeeSink, flows_summary_payload,
                   level_from_name, read_flows, read_progress,
@@ -192,9 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also log trace records to stderr via stdlib logging at "
              "this severity")
     obs_group.add_argument(
-        "--progress", action="store_true",
-        help="print periodic heartbeat progress lines to stderr")
-    obs_group.add_argument(
         "--progress-jsonl", metavar="PATH", default=None,
         help="stream the live progress bus to PATH as append-only "
              "JSONL (tail it, or point 'repro status' / 'repro top' "
@@ -205,14 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(ISP×ISP matrix, windowed locality, top-k peer pairs) "
              "and write the JSONL artifact to PATH; read it with "
              "'repro flows'")
-    obs_group.add_argument(
-        "--flows-window", type=float, default=60.0, metavar="SECONDS",
-        help="flow-ledger tumbling-window length in simulated seconds "
-             "(default: 60)")
-    obs_group.add_argument(
-        "--flows-top", type=int, default=32, metavar="K",
-        help="capacity of the flow ledger's top-k peer-pair sketch "
-             "(default: 32)")
     return parser
 
 
@@ -410,8 +397,7 @@ def build_report_parser() -> argparse.ArgumentParser:
 def build_instrumentation(args) -> Optional[Instrumentation]:
     """An enabled bundle when any obs flag was given, else ``None``."""
     if not (args.metrics or args.trace or args.spans or args.log_level
-            or args.progress or args.progress_jsonl
-            or getattr(args, "flows", None)):
+            or args.progress_jsonl or getattr(args, "flows", None)):
         return None
     trace_level = level_from_name(args.log_level or "info")
     sinks = []
@@ -434,17 +420,10 @@ def build_instrumentation(args) -> Optional[Instrumentation]:
             else JsonlSpanSink(args.spans)
     progress_bus = ProgressBus(args.progress_jsonl) \
         if args.progress_jsonl else None
-    flows = None
-    if getattr(args, "flows", None):
-        spec = FlowSpec(window=args.flows_window, top_k=args.flows_top)
-        try:
-            spec.validate()
-        except ValueError as exc:
-            raise SystemExit(f"bad --flows configuration: {exc}")
-        flows = FlowsWriter(args.flows, spec)
+    flows = FlowsWriter(args.flows) if getattr(args, "flows", None) \
+        else None
     return Instrumentation(trace=sink, spans=spans,
                            profiler=EngineProfiler(),
-                           progress=args.progress,
                            progress_bus=progress_bus,
                            flows=flows)
 

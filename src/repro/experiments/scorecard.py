@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..analysis.response import ResponseGroup
 from ..network.isp import ISPCategory
-from ..obs import Instrumentation, MemorySpanSink
+from ..obs import EngineProfiler, Instrumentation, MemorySpanSink
 from .base import Scale, WorkloadBank
 from .collect import PAPER_TARGETS
 from .registry import run_experiment
@@ -269,7 +269,8 @@ def build_scorecard(bank: Optional[WorkloadBank] = None,
     """
     obs = instrumentation
     if obs is None:
-        obs = Instrumentation.full(spans=MemorySpanSink())
+        obs = Instrumentation(spans=MemorySpanSink(),
+                              profiler=EngineProfiler())
     if bank is None:
         bank = WorkloadBank(instrumentation=obs)
 

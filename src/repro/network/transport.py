@@ -12,9 +12,8 @@ the destination deregistered while the packet was in flight (peer churn),
 the packet is silently dropped — exactly what the real Internet does.
 
 Sniffer taps (:meth:`UdpNetwork.add_tap`) observe every datagram at send
-and delivery time — or only the events they subscribe to — and the
-capture substrate builds Wireshark-style traces on top of them without
-touching protocol internals.
+and delivery time, and the capture substrate builds Wireshark-style
+traces on top of them without touching protocol internals.
 """
 
 from __future__ import annotations
@@ -29,8 +28,8 @@ from .datagram import HEADER_BYTES, Datagram
 from .isp import ISP
 from .latency import LatencyModel
 
-#: Tap signature: (event, datagram, time).  ``event`` is "send", "recv",
-#: "drop_uplink", "drop_loss" or "drop_fault".
+#: Tap signature: (event, datagram, time).  ``event`` is "send" (the
+#: datagram left the sender's uplink) or "recv" (it was delivered).
 TapFn = Callable[[str, Datagram, float], None]
 
 
@@ -109,10 +108,10 @@ class Host:
     def send_many(self, sends: List[tuple]) -> None:
         """Transmit a cohort of ``(dst, payload, payload_bytes)`` triples.
 
-        Each datagram's fate and delivery time, and each RNG stream's
-        draw order, are those of calling :meth:`send` per triple in
-        order; only taps of different kinds fire grouped by phase (see
-        :meth:`UdpNetwork.send_many`).
+        Each datagram's fate and delivery time, each RNG stream's draw
+        order and every tap event are those of calling :meth:`send` per
+        triple in order; only trace records of different kinds come
+        grouped by phase (see :meth:`UdpNetwork.send_many`).
         """
         self.network.send_many(self, sends)
 
@@ -129,23 +128,12 @@ class Host:
 class UdpNetwork:
     """The simulated Internet's datagram plane."""
 
-    #: The tap event vocabulary (`add_tap`'s ``events`` filter).
-    TAP_EVENTS = frozenset({"send", "recv", "drop_uplink", "drop_loss",
-                            "drop_fault"})
-
     def __init__(self, sim: Simulator, latency: LatencyModel,
                  obs: Optional[Instrumentation] = None) -> None:
         self.sim = sim
         self.latency = latency
         self._hosts: Dict[str, Host] = {}
         self._taps: List[TapFn] = []
-        #: tap -> frozenset of events it wants, or None for all of them.
-        self._tap_filters: Dict[TapFn, Optional[frozenset]] = {}
-        # Per-event dispatch lists, derived from _taps/_tap_filters: the
-        # send/recv hot paths loop over exactly the taps that asked for
-        # that event, so a recv-only ledger costs nothing at send time.
-        self._send_taps: List[TapFn] = []
-        self._recv_taps: List[TapFn] = []
         #: Single-consumer per-delivery accounting sink, or None.  Taps
         #: are the general observe-anything seam; the sink is the one
         #: seam allowed on the delivery fast path with the wire size
@@ -219,37 +207,23 @@ class UdpNetwork:
     # ------------------------------------------------------------------
     # Taps (capture substrate attaches here)
     # ------------------------------------------------------------------
-    def add_tap(self, tap: TapFn, events=None) -> None:
-        """Register ``tap`` to observe datagram events.
+    def add_tap(self, tap: TapFn) -> None:
+        """Register ``tap`` to observe every ``send`` and ``recv``.
 
-        With the default ``events=None`` the tap sees every event.  Pass
-        an iterable of event names (a subset of :data:`TAP_EVENTS`) to
-        subscribe to just those: a recv-only ledger then pays nothing on
-        the send path, which matters when a tap runs per delivered
-        datagram on the simulator hot path.
-
-        A tap may be registered at most once — double-accounting bytes
-        silently would corrupt any ledger attached here — so a duplicate
-        registration raises instead.
+        Drops are not tap events: each keeps its transport counter and
+        trace record.  A tap may be registered at most once —
+        double-accounting bytes silently would corrupt any ledger
+        attached here — so a duplicate registration raises instead.
         """
         if tap in self._taps:
             raise ValueError(f"tap {tap!r} is already registered")
-        if events is not None:
-            events = frozenset(events)
-            unknown = events - self.TAP_EVENTS
-            if unknown:
-                raise ValueError(
-                    f"unknown tap events {sorted(unknown)!r}; "
-                    f"expected a subset of {sorted(self.TAP_EVENTS)!r}")
         self._taps.append(tap)
-        self._tap_filters[tap] = events
-        self._rebuild_tap_lists()
 
     def remove_tap(self, tap: TapFn) -> None:
         """Unregister ``tap``; safe mid-run.
 
         Removing the last tap restores the no-tap fast path (`send` and
-        `_deliver` gate on the tap lists' truthiness, not on whether a
+        `_deliver` gate on the tap list's truthiness, not on whether a
         tap was ever attached).  Removing a tap that is not registered
         raises to surface lifecycle bugs early.
         """
@@ -257,24 +231,6 @@ class UdpNetwork:
             self._taps.remove(tap)
         except ValueError:
             raise ValueError(f"tap {tap!r} is not registered") from None
-        del self._tap_filters[tap]
-        self._rebuild_tap_lists()
-
-    def _rebuild_tap_lists(self) -> None:
-        filters = self._tap_filters
-        self._send_taps = [
-            tap for tap in self._taps
-            if filters[tap] is None or "send" in filters[tap]]
-        self._recv_taps = [
-            tap for tap in self._taps
-            if filters[tap] is None or "recv" in filters[tap]]
-
-    def _notify(self, event: str, datagram: Datagram, time: float) -> None:
-        filters = self._tap_filters
-        for tap in self._taps:
-            events = filters[tap]
-            if events is None or event in events:
-                tap(event, datagram, time)
 
     def set_flow_sink(self, sink: Callable[[Datagram, float, int],
                                            None]) -> None:
@@ -286,8 +242,8 @@ class UdpNetwork:
         double accounting is the same silent corruption double tap
         registration guards against — so installing over an existing
         sink raises.  Flow accounting attaches here; anything that
-        wants send/drop events, or several observers at once, belongs
-        on the tap seam instead.
+        wants send events, or several observers at once, belongs on the
+        tap seam instead.
         """
         if self._flow_sink is not None:
             raise ValueError("a flow sink is already installed")
@@ -316,7 +272,6 @@ class UdpNetwork:
         datagram = Datagram(src=src_host.address, dst=dst, payload=payload,
                             payload_bytes=payload_bytes, sent_at=now)
         wire_bytes = payload_bytes + HEADER_BYTES
-        taps = self._taps
         self.datagrams_sent += 1
         if self._obs_enabled:
             self._m_sent.inc()
@@ -338,14 +293,12 @@ class UdpNetwork:
                 self._spans.instant("uplink_tail_drop", "net", now,
                                     actor=datagram.src, dst=dst,
                                     msg=type(payload).__name__)
-            if taps:
-                self._notify("drop_uplink", datagram, now)
             return False
         if self._obs_enabled:
             self._m_bytes_queued.inc(wire_bytes)
-        send_taps = self._send_taps
-        if send_taps:
-            for tap in send_taps:
+        taps = self._taps
+        if taps:
+            for tap in taps:
                 tap("send", datagram, now)
 
         latency = self.latency
@@ -358,8 +311,6 @@ class UdpNetwork:
                 self._trace.emit(now, DEBUG, "path_loss",
                                  src=datagram.src, dst=dst,
                                  msg=type(payload).__name__)
-            if taps:
-                self._notify("drop_loss", datagram, now)
             return True  # the sender cannot tell loss from silence
 
         if dst_isp is None:
@@ -391,12 +342,10 @@ class UdpNetwork:
         * identical: each datagram's fate (tail drop, loss, delivery)
           and delivery time, every counter, the draw order of each RNG
           stream (loss and jitter live on separate streams, so phasing
-          cannot interleave them), and the order in which taps see
-          events of any one kind;
-        * not identical: taps of *different* kinds fire grouped by
-          phase (every ``send`` and ``drop_uplink`` of the cohort before
-          its first ``drop_loss``), not packet by packet.  Traces and
-          spans group the same way.
+          cannot interleave them), and every tap event;
+        * not identical: trace records of *different* kinds come
+          grouped by phase (every ``uplink_tail_drop`` of the cohort
+          before its first ``path_loss``), not packet by packet.
 
         Each surviving datagram is posted as its own ``udp-deliver``
         event, in cohort order.
@@ -408,7 +357,6 @@ class UdpNetwork:
         sim = self.sim
         now = sim.clock._now
         taps = self._taps
-        send_taps = self._send_taps
         trace = self._trace
         spans = self._spans
         obs_enabled = self._obs_enabled
@@ -445,12 +393,10 @@ class UdpNetwork:
                     spans.instant("uplink_tail_drop", "net", now,
                                   actor=src_address, dst=dst,
                                   msg=type(payload).__name__)
-                if taps:
-                    self._notify("drop_uplink", datagram, now)
                 continue
             queued_bytes += wire_bytes
-            if send_taps:
-                for tap in send_taps:
+            if taps:
+                for tap in taps:
                     tap("send", datagram, now)
             dst_host = hosts.get(dst)
             keep((datagram, wire_bytes, uplink_delay,
@@ -483,8 +429,6 @@ class UdpNetwork:
                         trace.emit(now, DEBUG, "path_loss",
                                    src=src_address, dst=datagram.dst,
                                    msg=type(datagram.payload).__name__)
-                    if taps:
-                        self._notify("drop_loss", datagram, now)
                     continue
             alive.append(entry)
             # Unknown destination: approximate propagation with the
@@ -510,13 +454,10 @@ class UdpNetwork:
         if host._fault_filter is not None and host.fault_drops():
             self.datagrams_dropped_fault += 1
             self._m_dropped_fault.inc()
-            now = self.sim.clock._now
             if self._trace.enabled_for(DEBUG):
-                self._trace.emit(now, DEBUG, "fault_drop",
+                self._trace.emit(self.sim.clock._now, DEBUG, "fault_drop",
                                  src=datagram.src, dst=datagram.dst,
                                  msg=type(datagram.payload).__name__)
-            if self._taps:
-                self._notify("drop_fault", datagram, now)
             return
         wire_bytes = datagram.payload_bytes + HEADER_BYTES
         self.datagrams_delivered += 1
@@ -529,9 +470,9 @@ class UdpNetwork:
         sink = self._flow_sink
         if sink is not None:
             sink(datagram, self.sim.clock._now, wire_bytes)
-        recv_taps = self._recv_taps
-        if recv_taps:
+        taps = self._taps
+        if taps:
             now = self.sim.clock._now
-            for tap in recv_taps:
+            for tap in taps:
                 tap("recv", datagram, now)
         host.handle_datagram(datagram)

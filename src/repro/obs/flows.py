@@ -274,11 +274,10 @@ class FlowLedger:
         #: Open window in row form: [index, bytes, datagrams, intra,
         #: transit, transoceanic, by_isp dict], or None between windows.
         self._win: Optional[list] = None
-        #: Pending (src, dst, kind) -> [bytes, datagrams] aggregates for
-        #: the open window — the only thing the hot path writes.  The
-        #: kind component is the payload class on the hot paths (name
-        #: resolution is deferred to the fold plan) or a plain string
-        #: via :meth:`record`.
+        #: Pending (src, dst, payload class) -> [bytes, datagrams]
+        #: aggregates for the open window — the only thing the hot path
+        #: writes; resolving the class to its kind name is deferred to
+        #: the fold plan.
         self._acc: Dict[Tuple[str, str, Any], List[int]] = {}
         #: (src, dst, kind) -> fold plan (matrix cell, scope index,
         #: per-ISP in/out slots, per-pair sketch slot, intra flag) or
@@ -314,8 +313,9 @@ class FlowLedger:
         cost is one pending-accumulator bump and a window-boundary
         check.  The accumulator key holds the payload *class* — turning
         it into the kind name is fold-point work, not hot-path work.
-        Mirrors :meth:`record` inline rather than calling it — the
-        extra call would cost more than the body.
+        Totals, matrix, windows and sketch reflect the datagram after
+        the next fold point (window roll, :meth:`finish` or
+        :meth:`snapshot_state`).
         """
         if now >= self._win_until:
             self._roll(now)
@@ -361,36 +361,15 @@ class FlowLedger:
         return (src_isp.name, dst_isp.name, scope, SCOPES.index(scope),
                 f"{src}->{dst}")
 
-    def record(self, src: str, dst: str, kind: str, wire_bytes: int,
-               time: float) -> None:
-        """Account one delivered datagram of ``wire_bytes`` at sim ``time``.
-
-        Only bumps the pending accumulator; totals/matrix/windows/sketch
-        reflect it after the next fold point (window roll,
-        :meth:`finish` or :meth:`snapshot_state`).
-        """
-        if time >= self._win_until:
-            self._roll(time)
-        key = (src, dst, kind)
-        acc = self._acc.get(key)
-        if acc is None:
-            self._acc[key] = [wire_bytes, 1]
-        else:
-            acc[0] += wire_bytes
-            acc[1] += 1
-
     def _fold_plan(self, key: Tuple[str, str, Any]):
         """Cold path of the fold cache: everything a fold of ``key``
         needs that does not change between folds.
 
-        ``key[2]`` is the payload class when the hot path accumulated
-        it (:meth:`sink`) or already a kind string (:meth:`record`);
-        either way the matrix cell is keyed by the kind *name*, so both
-        spellings fold into the same cell.
+        ``key[2]`` is the payload class; the matrix cell is keyed by its
+        name, the message kind.
         """
-        src, dst, kind = key
-        if not isinstance(kind, str):
-            kind = kind.__name__
+        src, dst, payload_class = key
+        kind = payload_class.__name__
         pair = (src, dst)
         info = self._pair_cache.get(pair, _UNRESOLVED)
         if info is _UNRESOLVED:

@@ -1,8 +1,9 @@
 """The :class:`Instrumentation` bundle threaded through the stack.
 
-One object carries the three observability facets — metrics registry,
-trace sink, engine profiler — plus the progress/heartbeat settings, so
-components take a single optional ``obs`` argument instead of three.
+One object carries the observability facets — metrics registry, trace
+sink, span sink, engine profiler, progress bus, flows writer — plus the
+heartbeat switch, so components take a single optional ``obs``
+argument instead of one per facet.
 
 :func:`resolve` maps ``None`` to the shared :data:`NULL_INSTRUMENTATION`
 whose registry hands out no-op instruments and whose sink drops
@@ -14,7 +15,7 @@ heartbeat timers and trace emission only happen on enabled bundles.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, TextIO
+from typing import TYPE_CHECKING, Optional
 
 from .live import ProgressBus
 from .metrics import NULL_REGISTRY, MetricsRegistry
@@ -33,18 +34,13 @@ class Instrumentation:
                  trace: Optional[TraceSink] = None,
                  profiler: Optional[EngineProfiler] = None,
                  spans: Optional[SpanSink] = None,
-                 progress: bool = False,
-                 progress_stream: Optional[TextIO] = None,
                  progress_bus: Optional[ProgressBus] = None,
                  heartbeat: bool = True,
-                 flows: Optional["FlowsWriter"] = None,
-                 flows_spec: Optional["FlowSpec"] = None) -> None:
+                 flows: Optional["FlowsWriter"] = None) -> None:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.trace = trace if trace is not None else NULL_SINK
         self.spans = spans if spans is not None else NULL_SPAN_SINK
         self.profiler = profiler
-        self.progress = progress
-        self.progress_stream = progress_stream
         #: Streaming progress.jsonl writer (``--progress-jsonl``);
         #: parent-side only, never shipped to worker processes.
         self.progress_bus = progress_bus
@@ -55,10 +51,12 @@ class Instrumentation:
         #: Flows artifact writer (``--flows``); parent-side only, like
         #: the progress bus.  Workers account flows from the spec alone.
         self.flows = flows
-        #: Ledger knobs; runs with a writer inherit its spec.
-        self.flows_spec = flows_spec if flows_spec is not None else (
-            flows.spec if flows is not None else None)
         self.enabled = True
+
+    @property
+    def flows_spec(self) -> Optional["FlowSpec"]:
+        """The ledger knobs of the flows writer, or ``None`` without one."""
+        return self.flows.spec if self.flows is not None else None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -68,14 +66,6 @@ class Instrumentation:
         """The shared disabled bundle (no-op everything)."""
         return NULL_INSTRUMENTATION
 
-    @classmethod
-    def full(cls, trace: Optional[TraceSink] = None,
-             spans: Optional[SpanSink] = None,
-             progress: bool = False) -> "Instrumentation":
-        """Everything on: real registry, profiler, optional sinks."""
-        return cls(metrics=MetricsRegistry(), trace=trace, spans=spans,
-                   profiler=EngineProfiler(), progress=progress)
-
     # ------------------------------------------------------------------
     # Heartbeat wiring
     # ------------------------------------------------------------------
@@ -83,7 +73,7 @@ class Instrumentation:
     def wants_heartbeat(self) -> bool:
         """Whether a scenario should install a heartbeat sampler."""
         return (self.enabled and self.heartbeat
-                and (self.progress or self.profiler is not None
+                and (self.profiler is not None
                      or self.trace is not NULL_SINK
                      or self.progress_bus is not None))
 
@@ -114,8 +104,7 @@ class _NullInstrumentation(Instrumentation):
 
     def __init__(self) -> None:
         super().__init__(metrics=NULL_REGISTRY, trace=NULL_SINK,
-                         spans=NULL_SPAN_SINK, profiler=None,
-                         progress=False)
+                         spans=NULL_SPAN_SINK, profiler=None)
         self.enabled = False
 
     def finalize(self) -> None:

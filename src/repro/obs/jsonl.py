@@ -76,12 +76,19 @@ def line_error(lineno: int, line: str, exc: ValueError) -> ValueError:
     return ValueError(f"line {lineno}: {exc}")
 
 
+def not_object_error(lineno: int, text: str) -> ValueError:
+    """The error for line ``lineno`` that parsed to a non-object
+    ``text``: every record of every artifact is a JSON object."""
+    return ValueError(f"line {lineno}: not a JSON object: {text[:80]!r}")
+
+
 def read_jsonl(path_or_file: PathOrFile) -> List[dict]:
     """Parse a JSONL artifact into record dicts.
 
     Takes a path or an open text file (read from its current
     position).  Blank lines are skipped; any malformed line raises
-    ``ValueError`` naming its line (see :func:`line_error`).
+    ``ValueError`` naming its line (see :func:`line_error`), and so
+    does a line that parses but is not a JSON object.
     """
     decode = shared_decoder()
     records = []
@@ -90,7 +97,10 @@ def read_jsonl(path_or_file: PathOrFile) -> List[dict]:
             text = line.strip()
             if text:
                 try:
-                    records.append(decode(text))
+                    record = decode(text)
                 except ValueError as exc:
                     raise line_error(lineno, line, exc) from None
+                if not isinstance(record, dict):
+                    raise not_object_error(lineno, text)
+                records.append(record)
     return records

@@ -30,8 +30,8 @@ import sys
 import time
 from typing import IO, List, Optional, Union
 
-from .jsonl import (PathOrFile, encode_record, line_error, open_text,
-                    shared_decoder)
+from .jsonl import (PathOrFile, encode_record, line_error,
+                    not_object_error, open_text, shared_decoder)
 
 #: Record kinds emitted by the bus (not exhaustive; the bus accepts any).
 KIND_RUN_START = "run_start"
@@ -174,8 +174,7 @@ def read_progress(path_or_file: PathOrFile, *, with_tail: bool = False):
             if isinstance(record, dict):
                 records.append(record)
                 continue
-            error = ValueError(
-                f"line {lineno}: not a JSON object: {text[:80]!r}")
+            error = not_object_error(lineno, text)
         if lineno == len(lines):
             tail = text  # torn tail of a live run
             break

@@ -15,21 +15,19 @@ comparing runs.
 :class:`HeartbeatSampler` is the periodic sim-time progress beacon:
 every :data:`HEARTBEAT_INTERVAL` simulated seconds it collects a
 caller-supplied sample (swarm size, neighbor fill, buffer health, ...),
-takes an engine sample, emits an ``INFO`` ``heartbeat`` trace record,
-and optionally prints a one-line progress report to a stream.
+takes an engine sample, and writes one ``heartbeat`` record to the
+bundle's progress bus, when it has one.
 """
 
 from __future__ import annotations
 
-import sys
 import weakref
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Dict, Iterator, List, Optional
 
 from .live import peak_rss_bytes
-from .trace import INFO
 
 
 @dataclass
@@ -185,18 +183,16 @@ class HeartbeatSampler:
     """Periodic sim-time progress beacon for long runs.
 
     ``sample_fn(now)`` supplies the domain fields (swarm size, neighbor
-    fill, backlog, playback health); the sampler adds engine fields,
-    emits one ``heartbeat`` trace record per beat, and, when ``stream``
-    is given, prints a single-line progress report there.
+    fill, backlog, playback health); the sampler adds engine fields and
+    writes one ``heartbeat`` record per beat to the progress bus.  The
+    beats run whether or not a bus is attached: each takes a profiler
+    sample, and ``sample_fn`` also sets the run's gauges.
     """
 
-    def __init__(self, sim, instrumentation, sample_fn: SampleFn,
-                 label: str = "", stream=None) -> None:
+    def __init__(self, sim, instrumentation, sample_fn: SampleFn) -> None:
         self.sim = sim
         self.obs = instrumentation
         self.sample_fn = sample_fn
-        self.label = label
-        self.stream = stream
         self.beats = 0
         self._timer = sim.every(HEARTBEAT_INTERVAL, self._beat,
                                 label="obs-heartbeat")
@@ -207,45 +203,16 @@ class HeartbeatSampler:
     def _beat(self) -> None:
         now = self.sim.now
         self.beats += 1
-        fields = dict(self.sample_fn(now))
-        fields["events_executed"] = self.sim.events_executed
-        fields["queue_depth"] = len(self.sim.queue)
-        events_per_sec = None
+        beat = {"t": round(now, 3)}
+        beat.update(self.sample_fn(now))
+        beat["events_executed"] = self.sim.events_executed
+        beat["queue_depth"] = len(self.sim.queue)
         profiler = self.obs.profiler
         if profiler is not None:
             point = profiler.sample(self.sim)
             if point.events_per_sec:
-                events_per_sec = point.events_per_sec
-                # Wall-clock rate: progress/trace only, never metrics.
-                fields["events_per_sec_wall"] = round(events_per_sec, 1)
-        self.obs.trace.emit(now, INFO, "heartbeat", **fields)
+                beat["events_per_sec"] = round(point.events_per_sec, 1)
         bus = self.obs.progress_bus
         if bus is not None:
-            beat = {"t": round(now, 3)}
-            beat.update((key, value) for key, value in fields.items()
-                        if key != "events_per_sec_wall")
-            if events_per_sec is not None:
-                beat["events_per_sec"] = round(events_per_sec, 1)
             beat["rss_bytes"] = peak_rss_bytes()
             bus.heartbeat(**beat)
-        if self.stream is not None:
-            self._print_progress(now, fields, events_per_sec)
-
-    def _print_progress(self, now: float, fields: Dict[str, object],
-                        events_per_sec: Optional[float]) -> None:
-        parts = [f"[{self.label or 'run'}] t={now:.0f}s"]
-        for key, value in fields.items():
-            # Nested structures (per-ISP census) stay in trace/bus records.
-            if key in ("events_per_sec_wall",) or isinstance(value, dict):
-                continue
-            if isinstance(value, float):
-                parts.append(f"{key}={value:.2f}")
-            else:
-                parts.append(f"{key}={value}")
-        if events_per_sec is not None:
-            parts.append(f"({events_per_sec / 1000.0:.1f}k ev/s)")
-        print(" ".join(parts), file=self.stream or sys.stderr)
-        try:
-            (self.stream or sys.stderr).flush()
-        except (AttributeError, ValueError):  # pragma: no cover
-            pass

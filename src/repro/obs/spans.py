@@ -30,15 +30,14 @@ Sinks mirror the :class:`repro.obs.trace.TraceSink` contract:
 * :class:`MemorySpanSink` — collects finished spans in a list (tests,
   ``repro report``).
 * :class:`JsonlSpanSink` — streams each finished span as one JSON line.
-* :class:`ChromeTraceSink` — writes Chrome trace-event format JSON so a
-  run opens directly in Perfetto (https://ui.perfetto.dev) or
+* :class:`ChromeTraceSink` — streams Chrome trace-event format JSON so
+  a run opens directly in Perfetto (https://ui.perfetto.dev) or
   ``chrome://tracing``.
 * :class:`TeeSpanSink` — fans spans out to several sinks.
 """
 
 from __future__ import annotations
 
-import json
 from typing import IO, Dict, List, Optional, Sequence, Union
 
 from .jsonl import (PathOrFile, encode_record, open_text, read_jsonl,
@@ -247,17 +246,23 @@ class JsonlSpanSink(SpanSink):
 
 
 class ChromeTraceSink(SpanSink):
-    """Collects spans and writes Chrome trace-event JSON on close.
+    """Streams spans to a file as Chrome trace-event JSON.
 
     The output opens directly in Perfetto (https://ui.perfetto.dev,
     "Open trace file") or ``chrome://tracing``.  Mapping:
 
-    * one *thread* per span actor (peer address, component name);
-      thread-name metadata events label the tracks,
+    * one *thread* per span actor (peer address, component name); a
+      thread-name metadata event, written just before the actor's
+      first event, labels its track,
     * finished spans become complete (``"ph": "X"``) events with
       microsecond timestamps (simulated seconds × 1e6),
     * zero-duration spans become instant (``"ph": "i"``) events,
     * span attributes, status and causal IDs ride in ``args``.
+
+    The document's head is written on open and each event as its span
+    finishes, so the sink holds only its actor → thread map.  The tail
+    is written by :meth:`close`, which the CLI's exit stack runs even
+    after a crash, so the file is valid JSON either way.
     """
 
     DEFAULT_ACTOR = "(global)"
@@ -270,8 +275,13 @@ class ChromeTraceSink(SpanSink):
         else:
             self._file = path_or_file
             self._owns_file = False
-        self._events: List[dict] = []
         self._tids: Dict[str, int] = {}
+        self._separator = ""
+        self._file.write('{"traceEvents":[')
+
+    def _emit(self, event: dict) -> None:
+        self._file.write(self._separator + encode_record(event))
+        self._separator = ","
 
     def _tid(self, actor: Optional[str]) -> int:
         key = actor if actor is not None else self.DEFAULT_ACTOR
@@ -279,6 +289,8 @@ class ChromeTraceSink(SpanSink):
         if tid is None:
             tid = len(self._tids) + 1
             self._tids[key] = tid
+            self._emit({"name": "thread_name", "ph": "M", "pid": 1,
+                        "tid": tid, "args": {"name": key}})
         return tid
 
     def _write(self, span: Span) -> None:
@@ -300,22 +312,13 @@ class ChromeTraceSink(SpanSink):
         else:
             event["ph"] = "i"
             event["s"] = "t"
-        self._events.append(event)
+        self._emit(event)
 
     def close(self) -> None:
-        metadata = [{"name": "thread_name", "ph": "M", "pid": 1,
-                     "tid": tid, "args": {"name": actor}}
-                    for actor, tid in sorted(self._tids.items(),
-                                             key=lambda kv: kv[1])]
-        document = {"traceEvents": metadata + self._events,
-                    "displayTimeUnit": "ms"}
-        json.dump(document, self._file, default=str,
-                  separators=(",", ":"))
-        self._file.write("\n")
+        self._file.write('],"displayTimeUnit":"ms"}\n')
         self._file.flush()
         if self._owns_file:
             self._file.close()
-        self._events = []
 
 
 class TeeSpanSink(SpanSink):

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, Hashable, List, Mapping,
                     Optional, Sequence, Tuple)
 
-from ..obs import INFO, Instrumentation
+from ..obs import Instrumentation
 from ..obs import resolve as resolve_obs
 
 #: Where a job's successful attempt actually executed.
@@ -296,14 +296,6 @@ def _record_metrics(outcomes: Sequence[JobOutcome], workers: int,
             obs.metrics.counter("parallel.job_retries").inc(extra)
         wall.observe(outcome.wall_clock)
         queue.observe(outcome.queue_wait)
-    if obs.trace.enabled_for(INFO):
-        by_where: Dict[str, int] = {}
-        for outcome in outcomes:
-            by_where[outcome.where] = by_where.get(outcome.where, 0) + 1
-        obs.trace.emit(0.0, INFO, "parallel_run",
-                       jobs=len(outcomes), workers=workers,
-                       **{f"jobs_{where}": count
-                          for where, count in sorted(by_where.items())})
 
 
 def _record_progress(outcomes: Sequence[JobOutcome],

@@ -1061,7 +1061,7 @@ class PPLivePeer(Host):
 
     def _transmit_many(self, sends: List[Tuple[str, m.Message, int]]) -> None:
         # One transport call for a whole fanout round: the network layer
-        # batches the loss/jitter draws and merges same-timestamp deliveries.
+        # runs the uplink, loss and jitter phases over the whole cohort.
         if len(sends) == 1:
             dst, msg, size = sends[0]
             self.send(dst, msg, size)

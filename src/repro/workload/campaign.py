@@ -21,7 +21,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -30,7 +29,7 @@ from ..checkpoint import (CheckpointError, CheckpointPolicy,
                           config_digest_of, unit_stem)
 from ..faults import FaultSchedule
 from ..network.isp import ISPCategory
-from ..obs import INFO, FlowSpec, Instrumentation
+from ..obs import FlowSpec, Instrumentation
 from ..obs import resolve as resolve_obs
 from ..obs.live import KIND_CAMPAIGN_START, KIND_DAY_COMPLETE
 from ..parallel.jobs import Job
@@ -298,14 +297,15 @@ def _run_day(config: CampaignConfig, day: int,
 def _emit_day(config: CampaignConfig, obs: Instrumentation, jobs: int,
               _key: Tuple[str, int], daily: DailyLocality,
               restored: bool) -> None:
-    """Campaign-level progress/trace for one finished day.
+    """Campaign-level progress record and span instant for one
+    finished day.
 
     :func:`run_units` calls it in canonical unit order for every
     ``jobs`` value, so serial and parallel runs produce the same
     campaign-level event stream.  ``restored`` marks a day replayed
     from a checkpoint rather than simulated in this process; the flag
-    is added to the records only when set, so non-resumed streams stay
-    byte-identical.
+    is added to the progress record only when set, so non-resumed
+    streams stay byte-identical.
     """
     if not obs.enabled:
         return
@@ -317,13 +317,6 @@ def _emit_day(config: CampaignConfig, obs: Instrumentation, jobs: int,
         obs.metrics.counter("sim.events_executed").inc(
             daily.events_executed)
     popularity = daily.popularity
-    restored_fields = {"restored": True} if restored else {}
-    obs.trace.emit(0.0, INFO, "campaign_day",
-                   day=daily.day + 1, days=config.days,
-                   popularity=popularity.value,
-                   population=daily.population,
-                   locality_by_isp=daily.locality_by_isp,
-                   **restored_fields)
     bus = obs.progress_bus
     if bus is not None:
         bus.emit(KIND_DAY_COMPLETE,
@@ -333,21 +326,12 @@ def _emit_day(config: CampaignConfig, obs: Instrumentation, jobs: int,
                  locality_by_isp={label: round(value, 3)
                                   for label, value
                                   in sorted(daily.locality_by_isp.items())},
-                 **restored_fields)
+                 **({"restored": True} if restored else {}))
     if obs.spans.enabled:
         obs.spans.instant("campaign_day", "workload", float(daily.day),
                           actor="campaign", day=daily.day + 1,
                           popularity=popularity.value,
                           population=daily.population)
-    if obs.progress:
-        stream = obs.progress_stream
-        summary = " ".join(
-            f"{label}={value:.1f}%" for label, value
-            in sorted(daily.locality_by_isp.items()))
-        print(f"[campaign] day {daily.day + 1}/{config.days} "
-              f"({popularity.value}) pop={daily.population} "
-              f"{summary}",
-              file=stream if stream is not None else sys.stderr)
 
 
 def campaign_jobs(config: CampaignConfig) -> List[Job]:
@@ -417,7 +401,7 @@ def run_campaign(config: Optional[CampaignConfig] = None, *,
     """
     config = config if config is not None else CampaignConfig()
     obs = resolve_obs(config.instrumentation)
-    if config.flows is None and obs.enabled and obs.flows_spec is not None:
+    if config.flows is None and obs.flows_spec is not None:
         # A --flows run turns on campaign-wide flow accounting through
         # the bundle; the spec must live on the config so worker
         # processes (shipped instrumentation=None) see it too.

@@ -16,9 +16,8 @@ layer needs.
 
 from __future__ import annotations
 
-import sys
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..capture.matching import MatchReport, match_all
@@ -288,10 +287,10 @@ class SessionScenario:
                            ledger: Optional[FlowLedger] = None
                            ) -> HeartbeatSampler:
         """Periodic progress beacon: swarm size, neighbor fill, uplink
-        backlog and playback health, as trace records, gauges and
-        (optionally) stderr progress lines.  ``sim_end`` and the per-ISP
-        peer census ride along so the progress bus can extrapolate an
-        ETA and ``repro top`` can show swarm composition."""
+        backlog and playback health, as gauges and progress-bus
+        heartbeats.  ``sim_end`` and the per-ISP peer census ride along
+        so the progress bus can extrapolate an ETA and ``repro top`` can
+        show swarm composition."""
         cfg = self.config
         udp = deployment.internet.udp
         metrics = obs.metrics
@@ -336,13 +335,7 @@ class SessionScenario:
                 fields["probe_neighbors"] = ",".join(neighbor_fill)
             return fields
 
-        stream = None
-        if obs.progress:
-            stream = obs.progress_stream if obs.progress_stream is not None \
-                else sys.stderr
-        return HeartbeatSampler(sim, obs, sample,
-                                label=f"session seed={cfg.seed}",
-                                stream=stream)
+        return HeartbeatSampler(sim, obs, sample)
 
     # ------------------------------------------------------------------
     # Execution
@@ -360,8 +353,7 @@ class SessionScenario:
 
         sim = Simulator(seed=cfg.seed, profiler=profiler)
         end_time = cfg.warmup + cfg.duration
-        flow_spec = cfg.flows if cfg.flows is not None else (
-            obs.flows_spec if obs.enabled else None)
+        flow_spec = cfg.flows if cfg.flows is not None else obs.flows_spec
         with phase("setup"):
             deployment = self.build_deployment(sim)
             ledger = None

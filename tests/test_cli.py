@@ -23,7 +23,7 @@ class TestParser:
         assert args.metrics is None
         assert args.trace is None
         assert args.log_level is None
-        assert args.progress is False
+        assert args.progress_jsonl is None
 
     def test_scale_choices(self):
         with pytest.raises(SystemExit):
@@ -38,11 +38,19 @@ class TestParser:
     def test_obs_flags(self):
         args = build_parser().parse_args(
             ["fig02", "--metrics", "m.jsonl", "--trace", "t.jsonl",
-             "--log-level", "warning", "--progress"])
+             "--log-level", "warning", "--flows", "f.jsonl"])
         assert args.metrics == "m.jsonl"
         assert args.trace == "t.jsonl"
         assert args.log_level == "warning"
-        assert args.progress is True
+        assert args.flows == "f.jsonl"
+
+    def test_observability_group_lists_six_flags(self):
+        parser = build_parser()
+        (group,) = [g for g in parser._action_groups
+                    if g.title == "observability"]
+        flags = [a.option_strings[0] for a in group._group_actions]
+        assert flags == ["--metrics", "--trace", "--spans", "--log-level",
+                         "--progress-jsonl", "--flows"]
 
     def test_jobs_default_is_serial(self):
         assert build_parser().parse_args(["fig06"]).jobs == 1
@@ -150,6 +158,17 @@ class TestInstrumentationFromFlags:
 
 
 class TestMain:
+    @pytest.mark.parametrize("flags", [["--progress"],
+                                       ["--flows-window", "30"],
+                                       ["--flows-top", "8"]],
+                             ids=["progress", "flows-window", "flows-top"])
+    def test_retired_obs_flags_exit_2(self, flags, capsys):
+        # Run progress is watched through --progress-jsonl; the flow
+        # ledger's knobs are FlowSpec fields.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig02", *flags])
+        assert excinfo.value.code == 2
+
     def test_list(self, capsys):
         assert main(["list"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -227,8 +246,8 @@ class TestMain:
     def test_crashed_run_still_flushes_artifacts(self, tmp_path,
                                                  monkeypatch, capsys):
         """A mid-run crash must still close every sink: the spans file
-        ends up valid (ChromeTraceSink writes on close) and the partial
-        metrics are written."""
+        ends up valid (ChromeTraceSink writes its tail on close) and the
+        partial metrics are written."""
         import repro.cli as cli_module
         from repro.obs import read_chrome_trace, validate_chrome_trace
 
@@ -354,6 +373,15 @@ class TestReportCommand:
                      "--metrics-in", str(metrics)]) == 2
         assert (f"corrupt artifact {metrics}: line 2: Expecting value "
                 f"(column 1)") in capsys.readouterr().err
+
+    def test_report_rejects_a_non_object_line(self, tmp_path, capsys,
+                                              no_scoring):
+        metrics = tmp_path / "m.jsonl"
+        metrics.write_text('{"name":"a","value":1}\n42\n')
+        assert main(["report", "--no-trend",
+                     "--metrics-in", str(metrics)]) == 2
+        assert (f"corrupt artifact {metrics}: line 2: not a JSON "
+                f"object: '42'") in capsys.readouterr().err
 
 
 class TestProgressTelemetry:

@@ -85,7 +85,7 @@ class TestSessionEquivalence:
         assert _counters(_run()) == _counters(_run())
 
     def test_tap_installed_is_pure_observer(self):
-        # The transport skips every _notify call when no tap is
+        # The transport skips every tap dispatch when no tap is
         # installed; installing one must change nothing but the
         # observations themselves.
         baseline = _counters(_run())

@@ -22,7 +22,7 @@ import pytest
 from repro.analysis import transit_byte_share
 from repro.checkpoint import CheckpointError, CheckpointPolicy
 from repro.cli import main
-from repro.network.datagram import HEADER_BYTES
+from repro.network.datagram import HEADER_BYTES, Datagram
 from repro.obs import (FLOWS_VERSION, FlowLedger, FlowSpec, FlowsWriter,
                        Instrumentation, SpaceSavingSketch,
                        flows_summary_payload, intra_share,
@@ -44,6 +44,21 @@ TINY = CampaignConfig(seed=11, days=2, popular_population=10,
 GOLDEN = CampaignConfig(seed=11, days=3, popular_population=10,
                         unpopular_population=6, session_duration=120.0,
                         warmup=60.0, flows=SPEC)
+
+
+class Chunk:
+    """Stand-in payload: the ledger keys its matrix by payload class."""
+
+
+class Ping:
+    """A second stand-in payload kind."""
+
+
+def _deliver(ledger, src, dst, payload_class, wire_bytes, now):
+    """Hand the ledger one delivered datagram, as the transport does;
+    the ledger takes the wire size from the sink's third argument."""
+    ledger.sink(Datagram(src=src, dst=dst, payload=payload_class(),
+                         payload_bytes=0, sent_at=now), now, wire_bytes)
 
 
 def _tiny_session(**overrides) -> ScenarioConfig:
@@ -136,9 +151,9 @@ class TestFlowLedgerDirect:
     def test_scope_classification(self, deployment):
         internet, addr = deployment
         ledger = FlowLedger(internet.directory, internet.catalog, SPEC)
-        ledger.record(addr["tele1"], addr["tele2"], "Chunk", 100, 1.0)
-        ledger.record(addr["tele1"], addr["cnc"], "Chunk", 50, 2.0)
-        ledger.record(addr["tele1"], addr["us"], "Chunk", 25, 3.0)
+        _deliver(ledger, addr["tele1"], addr["tele2"], Chunk, 100, 1.0)
+        _deliver(ledger, addr["tele1"], addr["cnc"], Chunk, 50, 2.0)
+        _deliver(ledger, addr["tele1"], addr["us"], Chunk, 25, 3.0)
         ledger.finish(4.0)
         assert ledger.totals == {"bytes": 175, "datagrams": 3,
                                  "intra_bytes": 100, "transit_bytes": 50,
@@ -149,9 +164,9 @@ class TestFlowLedgerDirect:
     def test_matrix_cells_by_isp_and_kind(self, deployment):
         internet, addr = deployment
         ledger = FlowLedger(internet.directory, internet.catalog, SPEC)
-        ledger.record(addr["tele1"], addr["cnc"], "Chunk", 10, 0.0)
-        ledger.record(addr["tele2"], addr["cnc"], "Chunk", 20, 0.0)
-        ledger.record(addr["tele1"], addr["cnc"], "Ping", 5, 0.0)
+        _deliver(ledger, addr["tele1"], addr["cnc"], Chunk, 10, 0.0)
+        _deliver(ledger, addr["tele2"], addr["cnc"], Chunk, 20, 0.0)
+        _deliver(ledger, addr["tele1"], addr["cnc"], Ping, 5, 0.0)
         state = ledger.snapshot_state()
         assert state["matrix"] == [
             ["ChinaTelecom", "ChinaNetcom", "Chunk", "transit", 30, 2],
@@ -162,10 +177,10 @@ class TestFlowLedgerDirect:
         internet, addr = deployment
         ledger = FlowLedger(internet.directory, internet.catalog,
                             FlowSpec(window=10.0, top_k=4))
-        ledger.record(addr["tele1"], addr["tele2"], "Chunk", 7, 3.0)
-        ledger.record(addr["tele1"], addr["tele2"], "Chunk", 9, 12.0)
+        _deliver(ledger, addr["tele1"], addr["tele2"], Chunk, 7, 3.0)
+        _deliver(ledger, addr["tele1"], addr["tele2"], Chunk, 9, 12.0)
         # Sparse: nothing lands in [20, 30), so no empty row appears.
-        ledger.record(addr["tele1"], addr["cnc"], "Chunk", 4, 31.0)
+        _deliver(ledger, addr["tele1"], addr["cnc"], Chunk, 4, 31.0)
         ledger.finish(40.0)
         state = ledger.snapshot_state()
         assert [row[0] for row in state["windows"]] == [0, 1, 3]
@@ -179,8 +194,8 @@ class TestFlowLedgerDirect:
         internet, addr = deployment
         ledger = FlowLedger(internet.directory, internet.catalog,
                             FlowSpec(window=10.0, top_k=4))
-        ledger.record(addr["tele1"], addr["cnc"], "Chunk", 300, 5.0)
-        ledger.record(addr["tele1"], addr["tele2"], "Chunk", 100, 15.0)
+        _deliver(ledger, addr["tele1"], addr["cnc"], Chunk, 300, 5.0)
+        _deliver(ledger, addr["tele1"], addr["tele2"], Chunk, 100, 15.0)
         fields = ledger.heartbeat_fields()
         assert list(fields) == sorted(fields)
         assert fields["bytes"] == 400
@@ -191,7 +206,7 @@ class TestFlowLedgerDirect:
     def test_unresolvable_endpoint_is_counted_not_skewed(self, deployment):
         internet, addr = deployment
         ledger = FlowLedger(internet.directory, internet.catalog, SPEC)
-        ledger.record(addr["tele1"], "203.0.113.99", "Chunk", 10, 0.0)
+        _deliver(ledger, addr["tele1"], "203.0.113.99", Chunk, 10, 0.0)
         ledger.finish(1.0)
         assert ledger.totals["bytes"] == 0
         assert ledger.datagrams_ignored == 1
@@ -235,13 +250,13 @@ class TestSnapshotRestore:
         b = internet.allocator.allocate(tele)
         ledger = FlowLedger(internet.directory, internet.catalog,
                             FlowSpec(window=10.0, top_k=4))
-        ledger.record(a, b, "Chunk", 5, 3.0)  # window 0 still open
+        _deliver(ledger, a, b, Chunk, 5, 3.0)  # window 0 still open
         state = ledger.snapshot_state()
         assert state["open_window"] is not None
         assert state["windows"] == []
         assert state["totals"]["bytes"] == 5
         # The snapshot is a fold point: the session goes on unchanged.
-        ledger.record(a, b, "Chunk", 7, 12.0)  # rolls window 0 closed
+        _deliver(ledger, a, b, Chunk, 7, 12.0)  # rolls window 0 closed
         ledger.finish(20.0)
         final = ledger.snapshot_state()
         assert [row[0] for row in final["windows"]] == [0, 1]
@@ -299,7 +314,8 @@ class TestSessionIntegration:
                 == without.deployment.internet.udp.bytes_delivered)
 
     def test_spec_resolves_from_the_instrumentation_bundle(self):
-        obs = Instrumentation(flows_spec=SPEC)
+        obs = Instrumentation(flows=FlowsWriter(io.StringIO(), SPEC))
+        assert obs.flows_spec == SPEC
         result = SessionScenario(
             _tiny_session(flows=None, instrumentation=obs)).run()
         assert result.flows is not None

@@ -122,7 +122,10 @@ class TestMalformedInput:
         # Blank lines count toward the line, indent toward the column.
         ('{"a":1}\n\n  {"b":}\n{"c":3}\n',
          "line 3: Expecting value (column 8)"),
-    ], ids=["bad-line", "blank-and-indent"])
+        # Valid JSON is not enough: every record is an object.
+        ('{"a":1}\n42\n{"b":2}\n',
+         "line 2: not a JSON object: '42'"),
+    ], ids=["bad-line", "blank-and-indent", "not-an-object"])
     @pytest.mark.parametrize("reader", JSONL_READERS, ids=READER_NAMES)
     def test_malformed_line_error_names_its_line(self, reader, text,
                                                  message):

@@ -1,5 +1,6 @@
 """Tests for the observability subsystem (repro.obs)."""
 
+import inspect
 import io
 import json
 import logging
@@ -11,11 +12,12 @@ from repro.obs import (DEBUG, ERROR, INFO, NULL_INSTRUMENTATION,
                        NULL_REGISTRY, NULL_SINK, WARNING, Counter,
                        EngineProfiler, Gauge, Histogram, Instrumentation,
                        JsonlSink, LoggingSink, MetricsRegistry, NullSink,
-                       RingSink, TeeSink, level_from_name,
+                       ProgressBus, RingSink, TeeSink, level_from_name,
                        metrics_to_records, read_metrics_csv,
-                       read_metrics_jsonl, read_trace_jsonl, resolve,
-                       strip_wall_metrics, write_metrics_csv,
-                       write_metrics_jsonl)
+                       read_metrics_jsonl, read_progress,
+                       read_trace_jsonl, resolve, strip_wall_metrics,
+                       write_metrics_csv, write_metrics_jsonl)
+from repro.obs.profiler import HEARTBEAT_INTERVAL
 from repro.sim import Simulator
 
 
@@ -422,10 +424,20 @@ class TestInstrumentation:
         assert obs.profiler is None
         assert not obs.wants_heartbeat  # nothing asked for beats
 
+    def test_bundle_fields(self):
+        # One carrier per telemetry fact: no stderr printer, and the
+        # flows spec is the writer's, not a field of its own.
+        assert list(inspect.signature(Instrumentation).parameters) == [
+            "metrics", "trace", "profiler", "spans", "progress_bus",
+            "heartbeat", "flows"]
+
     def test_wants_heartbeat_triggers(self):
-        assert Instrumentation(progress=True).wants_heartbeat
+        assert Instrumentation(
+            progress_bus=ProgressBus(io.StringIO())).wants_heartbeat
         assert Instrumentation(profiler=EngineProfiler()).wants_heartbeat
         assert Instrumentation(trace=RingSink()).wants_heartbeat
+        assert not Instrumentation(profiler=EngineProfiler(),
+                                   heartbeat=False).wants_heartbeat
 
     def test_finalize_exports_profiler(self):
         prof = EngineProfiler()
@@ -446,12 +458,16 @@ def _tiny_session(obs):
 
 
 def _observed_session():
-    """A tiny session under a RingSink trace and the profiler."""
+    """A tiny session under a RingSink trace, the profiler and a
+    progress bus; returns the bundle and the bus's records."""
+    progress = io.StringIO()
     obs = Instrumentation(trace=RingSink(capacity=100_000),
-                          profiler=EngineProfiler())
+                          profiler=EngineProfiler(),
+                          progress_bus=ProgressBus(progress))
     _tiny_session(obs)
     obs.finalize()
-    return obs
+    progress.seek(0)
+    return obs, read_progress(progress)
 
 
 def _stripped_dump(obs):
@@ -465,13 +481,23 @@ class TestInstrumentedSession:
         return _observed_session()
 
     def test_session_populates_all_layers(self, observed):
-        layers = {name.split(".")[0] for name in observed.metrics.names()}
+        obs, progress = observed
+        layers = {name.split(".")[0] for name in obs.metrics.names()}
         assert {"sim", "net", "proto", "streaming"} <= layers
-        assert len(observed.metrics.names()) >= 10
-        events = {r["event"] for r in observed.trace.records}
-        assert {"session_start", "session_end", "heartbeat",
-                "peer_join"} <= events
+        assert len(obs.metrics.names()) >= 10
+        events = {r["event"] for r in obs.trace.records}
+        assert {"session_start", "session_end", "peer_join"} <= events
+        assert "heartbeat" in {r["kind"] for r in progress}
+
+    def test_heartbeats_go_to_the_progress_bus_only(self, observed):
+        obs, progress = observed
+        assert [r for r in obs.trace.records
+                if r["event"] == "heartbeat"] == []
+        # One beat per interval through the session's end (150 s of
+        # warm-up plus 420 s of viewing).
+        beats = [r["t"] for r in progress if r["kind"] == "heartbeat"]
+        assert beats == [HEARTBEAT_INTERVAL * k for k in range(1, 20)]
 
     def test_same_seed_gives_identical_dumps(self, observed):
-        assert _stripped_dump(observed) == \
-            _stripped_dump(_observed_session())
+        assert _stripped_dump(observed[0]) == \
+            _stripped_dump(_observed_session()[0])

@@ -8,6 +8,7 @@ throughput but never output, and the serial path's campaign-level event
 stream is exactly what it was before the parallel layer existed.
 """
 
+import io
 import multiprocessing
 import os
 import time
@@ -18,7 +19,8 @@ import repro.parallel.units as units_module
 from repro.checkpoint import (CheckpointError, CheckpointPolicy,
                               UnitCheckpointStore)
 from repro.experiments.fig06 import Figure6
-from repro.obs import Instrumentation, RingSink
+from repro.obs import (Instrumentation, MemorySpanSink, ProgressBus,
+                       RingSink, read_progress, strip_wall_fields)
 from repro.parallel import (KILL_SWITCH_ENV, WHERE_FALLBACK, WHERE_POOL,
                             WHERE_SERIAL, Job, JobFailure, execute_jobs,
                             kill_switch_hook, merge_by_key,
@@ -204,14 +206,15 @@ class TestCampaignEquivalence:
 
 
 def _campaign_events(jobs):
-    # Generous capacity: the serial path also streams every per-session
-    # event into the sink, and the campaign_day records must survive.
-    sink = RingSink(capacity=500_000)
-    obs = Instrumentation(trace=sink)
+    """The campaign's ``day_complete`` progress records, wall fields
+    stripped."""
+    progress = io.StringIO()
+    obs = Instrumentation(progress_bus=ProgressBus(progress))
     config = CampaignConfig(instrumentation=obs, **TINY_CAMPAIGN)
     run_campaign(config, jobs=jobs)
-    return [record for record in sink.records
-            if record["event"] == "campaign_day"]
+    progress.seek(0)
+    return [strip_wall_fields(record) for record in read_progress(progress)
+            if record["kind"] == "day_complete"]
 
 
 @pytest.fixture(scope="module")
@@ -267,7 +270,7 @@ class TestSeedSweep:
 
 class TestParallelObservability:
     def test_job_metrics_flow_into_bundle(self):
-        obs = Instrumentation(trace=RingSink())
+        obs = Instrumentation(trace=RingSink(), spans=MemorySpanSink())
         jobs = [Job(key=i, fn=_square, args=(i,)) for i in range(4)]
         run_jobs(jobs, workers=2, obs=obs)
         pool_jobs = obs.metrics.get("parallel.jobs", {"where": "pool"})
@@ -275,8 +278,9 @@ class TestParallelObservability:
         assert obs.metrics.get("parallel.job_seconds").count == 4
         assert obs.metrics.get("parallel.queue_seconds").count == 4
         assert obs.metrics.get("parallel.workers").value == 2
-        runs = obs.trace.events("parallel_run")
-        assert runs and runs[0]["jobs"] == 4
+        (run,) = obs.spans.by_name("parallel_run")
+        assert run.attrs["jobs"] == 4
+        assert obs.trace.events("parallel_run") == []
 
     def test_null_obs_costs_nothing(self):
         # No bundle: the runner must not allocate metrics anywhere.

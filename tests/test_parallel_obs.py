@@ -3,9 +3,9 @@
 Workers never receive the parent's Instrumentation bundle (sinks do
 not pickle and worker completion order is racy), so everything here is
 *parent-side*: the campaign's results and its campaign-level span and
-event streams must be byte-equivalent between serial and parallel
-execution even with a full bundle — spans, profiler, heartbeat —
-enabled in the parent.
+progress streams must be byte-equivalent between serial and parallel
+execution even with a full bundle — spans, profiler, heartbeat,
+progress bus — enabled in the parent.
 """
 
 import io
@@ -13,7 +13,8 @@ import io
 import pytest
 
 from repro.obs import (EngineProfiler, Instrumentation, MemorySpanSink,
-                       RingSink)
+                       ProgressBus, RingSink, read_progress,
+                       strip_wall_fields)
 from repro.parallel import Job, execute_jobs
 from repro.streaming.video import Popularity
 from repro.workload.campaign import CampaignConfig, run_campaign
@@ -29,20 +30,23 @@ def _square(x):
     return x * x
 
 
-def _full_bundle():
-    """Spans + trace + profiler + heartbeat, all parent-side."""
+def _full_bundle(progress):
+    """Spans + trace + profiler + heartbeat + progress bus, all
+    parent-side."""
     return Instrumentation(trace=RingSink(capacity=500_000),
                            spans=MemorySpanSink(),
                            profiler=EngineProfiler(),
-                           progress=True,
-                           progress_stream=io.StringIO())
+                           progress_bus=ProgressBus(progress))
 
 
 def _campaign(jobs):
-    obs = _full_bundle()
+    """The campaign result, its bundle and its progress records."""
+    progress = io.StringIO()
+    obs = _full_bundle(progress)
     config = CampaignConfig(instrumentation=obs, **TINY_CAMPAIGN)
     result = run_campaign(config, jobs=jobs)
-    return result, obs
+    progress.seek(0)
+    return result, obs, read_progress(progress)
 
 
 @pytest.fixture(scope="module")
@@ -73,19 +77,28 @@ class TestByteEquivalenceWithFullBundle:
         assert serial_spans == _campaign_day_spans(parallel[1])
 
     def test_campaign_event_stream_identical(self, serial, parallel):
-        def days(obs):
-            return [r for r in obs.trace.records
-                    if r["event"] == "campaign_day"]
-        assert days(serial[1]) == days(parallel[1])
+        def days(progress):
+            return [strip_wall_fields(r) for r in progress
+                    if r["kind"] == "day_complete"]
+        serial_days = days(serial[2])
+        assert [(r["popularity"], r["day"]) for r in serial_days] == \
+            [(popularity.value, day + 1)
+             for popularity in (Popularity.POPULAR, Popularity.UNPOPULAR)
+             for day in range(TINY_CAMPAIGN["days"])]
+        assert serial_days == days(parallel[2])
 
-    def test_heartbeat_progress_lines_identical(self, serial, parallel):
-        def lines(obs):
-            return [line for line
-                    in obs.progress_stream.getvalue().splitlines()
-                    if line.startswith("[campaign]")]
-        serial_lines = lines(serial[1])
-        assert len(serial_lines) == 2 * TINY_CAMPAIGN["days"]
-        assert serial_lines == lines(parallel[1])
+    @pytest.mark.parametrize("mode", ["serial", "parallel"])
+    def test_trace_holds_no_progress_echo(self, request, mode):
+        # Run progress has one carrier, the bus: serial runs beat
+        # there, parallel runs report their jobs there, and both
+        # report their days there and in span instants.
+        _result, obs, progress = request.getfixturevalue(mode)
+        echoes = {"heartbeat", "campaign_day", "parallel_run"}
+        assert not [r for r in obs.trace.records if r["event"] in echoes]
+        kinds = {r["kind"] for r in progress}
+        assert "day_complete" in kinds
+        assert ("heartbeat" if mode == "serial" else "job_complete") \
+            in kinds
 
 
 class TestParallelSpanMerge:
@@ -163,7 +176,7 @@ class TestCampaignEngineCounters:
         # Worker sessions never count into the parent bundle, so the
         # campaign folds their recorded counts; serial sessions count
         # themselves.  Either way the footer is the units' sum.
-        result, obs = request.getfixturevalue(mode)
+        result, obs, _progress = request.getfixturevalue(mode)
         total = sum(day.events_executed
                     for day in result.popular + result.unpopular)
         assert total > 0

@@ -147,6 +147,22 @@ class TestChromeTraceSink:
         assert {e["tid"] for e in (connect, instant)} == \
             {metadata[0]["tid"]}
 
+    def test_streams_each_event_as_its_span_finishes(self):
+        buffer = io.StringIO()
+        sink = ChromeTraceSink(buffer)
+        assert buffer.getvalue() == '{"traceEvents":['
+        sink.instant("deadline_miss", "playback", 2.0, actor="p1")
+        # The actor's track label lands just before its first event.
+        written = json.loads(buffer.getvalue() + "]}")["traceEvents"]
+        assert [e["ph"] for e in written] == ["M", "i"]
+        assert written[0]["args"]["name"] == "p1"
+        assert written[0]["tid"] == written[1]["tid"]
+        sink.instant("deadline_miss", "playback", 3.0, actor="p1")
+        sink.close()
+        document = json.loads(buffer.getvalue())
+        assert [e["ph"] for e in document["traceEvents"]] == ["M", "i", "i"]
+        assert document["displayTimeUnit"] == "ms"
+
     def test_validator_flags_bad_events(self):
         assert validate_chrome_trace([{"ph": "X"}])
         assert validate_chrome_trace(
