@@ -10,18 +10,10 @@ featured traces feed fourteen figures.  Environment knobs:
 
 Each bench writes its rendered table/series to
 ``benchmarks/results/<id>.txt`` so the numbers behind EXPERIMENTS.md are
-regenerable artifacts.  In addition, every ``test_bench_*`` test appends
-one machine-readable row to ``benchmarks/results/trend.jsonl`` (node id,
-outcome, wall-clock duration, scale/seed, git revision, UTC timestamp),
-so the perf trajectory across commits can be charted without re-running
-old revisions.  Rows carry ``"kind": "bench_test"`` — the same file also
-holds the ``repro report`` command's ``"kind": "scorecard"`` records.
+regenerable artifacts.
 """
 
-import datetime
-import json
 import os
-import subprocess
 from pathlib import Path
 
 import pytest
@@ -29,7 +21,6 @@ import pytest
 from repro.experiments import Scale, WorkloadBank
 
 RESULTS_DIR = Path(__file__).parent / "results"
-TREND_FILE = RESULTS_DIR / "trend.jsonl"
 
 
 def bench_scale() -> Scale:
@@ -43,40 +34,6 @@ def bench_seed() -> int:
 
 def bench_days() -> int:
     return int(os.environ.get("REPRO_BENCH_DAYS", "28"))
-
-
-def _git_rev() -> str:
-    try:
-        out = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
-                             capture_output=True, text=True, timeout=10,
-                             cwd=Path(__file__).parent)
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
-    rev = out.stdout.strip()
-    return rev if out.returncode == 0 and rev else "unknown"
-
-
-def pytest_runtest_logreport(report):
-    """Append one trend row per finished ``test_bench_*`` call."""
-    if report.when != "call":
-        return
-    name = report.nodeid.rsplit("::", 1)[-1]
-    if not name.startswith("test_bench_"):
-        return
-    RESULTS_DIR.mkdir(exist_ok=True)
-    row = {
-        "kind": "bench_test",
-        "nodeid": report.nodeid,
-        "outcome": report.outcome,
-        "duration_seconds": round(report.duration, 4),
-        "scale": bench_scale().value,
-        "seed": bench_seed(),
-        "git_rev": _git_rev(),
-        "timestamp": datetime.datetime.now(
-            datetime.timezone.utc).isoformat(timespec="seconds"),
-    }
-    with TREND_FILE.open("a", encoding="utf-8") as fh:
-        fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
 @pytest.fixture(scope="session")

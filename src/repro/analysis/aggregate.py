@@ -9,21 +9,15 @@ with means and bootstrap confidence intervals.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
-from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
-from ..checkpoint import read_artifact, write_artifact
 from ..parallel.sweeps import run_seed_sweep
 from ..stats.bootstrap import BootstrapEstimate, bootstrap_mean
 from ..workload.scenario import ScenarioConfig, SessionResult
 from .contributions import analyze_contributions
 from .locality import traffic_locality
 from .rtt import analyze_requests_vs_rtt
-
-#: Artifact kind for persisted per-session metrics (the streaming
-#: aggregation input; see :class:`StreamingAggregator`).
-KIND_METRICS = "session-metrics"
 
 
 @dataclass
@@ -114,63 +108,6 @@ def aggregate_metrics(per_seed: Sequence[SessionMetrics],
                            locality_mean=locality_mean,
                            top10_mean=top10_mean,
                            correlation_mean=correlation_mean)
-
-
-def write_metrics_artifact(path: Union[str, Path],
-                           metrics: Sequence[SessionMetrics]) -> None:
-    """Persist per-session metrics as one atomic, digest-stamped
-    artifact (the streaming aggregation's on-disk interchange unit)."""
-    write_artifact(Path(path), KIND_METRICS,
-                   {"metrics": [asdict(m) for m in metrics]})
-
-
-def read_metrics_artifact(path: Union[str, Path]) -> List[SessionMetrics]:
-    """Load and validate one metrics artifact written by
-    :func:`write_metrics_artifact`."""
-    payload = read_artifact(Path(path), KIND_METRICS)
-    return [SessionMetrics(**fields) for fields in payload["metrics"]]
-
-
-class StreamingAggregator:
-    """Incremental, constant-memory merge of per-session metrics.
-
-    A month-scale campaign produces one artifact per day; folding them
-    through this class keeps exactly one artifact in memory at a time
-    and retains only the compact :class:`SessionMetrics` rows (a few
-    floats each) — RSS stays flat no matter how large the individual
-    artifacts are.  :meth:`result` delegates to
-    :func:`aggregate_metrics`, so the streamed fold reproduces the
-    one-shot aggregation *exactly*, bootstrap draws included.
-    """
-
-    def __init__(self, resamples: int = 400) -> None:
-        self._resamples = resamples
-        self._per_seed: List[SessionMetrics] = []
-
-    def __len__(self) -> int:
-        return len(self._per_seed)
-
-    def add(self, metrics: SessionMetrics) -> None:
-        """Fold in one session's metrics."""
-        self._per_seed.append(metrics)
-
-    def add_many(self, metrics: Iterable[SessionMetrics]) -> None:
-        for m in metrics:
-            self.add(m)
-
-    def add_artifact(self, path: Union[str, Path]) -> int:
-        """Fold in one on-disk artifact; returns the #rows it held.
-
-        The artifact's full payload is released before the next call —
-        only the compact rows survive the fold."""
-        rows = read_metrics_artifact(path)
-        self.add_many(rows)
-        return len(rows)
-
-    def result(self) -> AggregateResult:
-        """The aggregate over everything folded so far — byte-identical
-        to ``aggregate_metrics(all_rows_in_fold_order)``."""
-        return aggregate_metrics(self._per_seed, self._resamples)
 
 
 def aggregate_sessions(config: ScenarioConfig,

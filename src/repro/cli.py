@@ -46,9 +46,8 @@ faults.
 
 ``report`` builds the run-fidelity scorecard: every paper-target
 statistic of Figures 2-5/11-18 and Table 1 measured against its target
-range, plus engine perf numbers, written as markdown (or HTML with
-``--format html``) and appended as one JSON record to
-``benchmarks/results/trend.jsonl``.
+range, written as markdown (or HTML with ``--format html``) and
+appended as one JSON record to ``benchmarks/results/trend.jsonl``.
 
 ``status`` and ``top`` read a ``--progress-jsonl`` artifact — live
 mid-run (a torn final line is tolerated) or finished — and print a
@@ -121,7 +120,7 @@ DEFAULT_TREND_PATH = "benchmarks/results/trend.jsonl"
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro",
+        prog="repro", allow_abbrev=False,
         description="Reproduce tables/figures from 'A Case Study of "
                     "Traffic Locality in Internet P2P Live Streaming "
                     "Systems' (ICDCS 2009).")
@@ -205,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def build_status_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro status",
+        prog="repro status", allow_abbrev=False,
         description="One-shot summary of a run's --progress-jsonl "
                     "artifact: state, sim/campaign progress, engine "
                     "throughput, swarm composition, ETA.  Works on "
@@ -253,7 +252,7 @@ def _status(argv: List[str]) -> int:
 
 def build_top_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro top",
+        prog="repro top", allow_abbrev=False,
         description="Refresh-loop live view of a run's --progress-jsonl "
                     "artifact; exits when the run finishes (or on "
                     "Ctrl-C).")
@@ -293,7 +292,7 @@ def _top(argv: List[str]) -> int:
 
 def build_flows_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro flows",
+        prog="repro flows", allow_abbrev=False,
         description="Inspect a run's --flows artifact: merged traffic "
                     "totals, the ISP×ISP matrix, the windowed locality "
                     "time-series, or the heaviest peer-pair flows.  "
@@ -357,10 +356,10 @@ def _flows(argv: List[str]) -> int:
 
 def build_report_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro report",
+        prog="repro report", allow_abbrev=False,
         description="Build the run-fidelity scorecard: reproduced "
-                    "paper statistics vs target ranges, plus engine "
-                    "perf, appended to the benchmark trend file.")
+                    "paper statistics vs target ranges, appended to "
+                    "the benchmark trend file.")
     parser.add_argument(
         "--scale", choices=[s.value for s in Scale], default="small",
         help="workload scale for the scored runs (default: small)")
@@ -376,14 +375,6 @@ def build_report_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--label", default="", help="free-form label recorded in the "
                                     "scorecard and the trend record")
-    parser.add_argument(
-        "--metrics-in", metavar="PATH", default=None,
-        help="fold a finished run's --metrics JSONL artifact into the "
-             "perf block instead of this run's own numbers")
-    parser.add_argument(
-        "--spans-in", metavar="PATH", default=None,
-        help="fold a finished run's --spans artifact (JSONL or Chrome "
-             "trace) into the perf block's span count")
     parser.add_argument(
         "--trend", metavar="PATH", default=DEFAULT_TREND_PATH,
         help=f"trend file to append the JSON record to (default: "
@@ -469,29 +460,10 @@ def _list_experiments(as_json: bool) -> int:
 
 
 def _report(argv: List[str]) -> int:
-    from .experiments.scorecard import (append_trend, build_scorecard,
-                                        perf_from_artifacts)
+    from .experiments.scorecard import append_trend, build_scorecard
     args = build_report_parser().parse_args(argv)
-    perf = None
-    if args.metrics_in or args.spans_in:
-        # Read the artifacts before the scored sessions run, so a bad
-        # one fails at once instead of after minutes of simulation.
-        path = args.metrics_in
-        try:
-            perf = perf_from_artifacts(metrics_path=path)
-            path = args.spans_in
-            perf.spans_recorded = perf_from_artifacts(
-                spans_path=path).spans_recorded
-        except OSError as exc:
-            print(f"cannot read {path}: {exc}", file=sys.stderr)
-            return 2
-        except ValueError as exc:
-            print(f"corrupt artifact {path}: {exc}", file=sys.stderr)
-            return 2
     card = build_scorecard(scale=Scale(args.scale), seed=args.seed,
                            label=args.label)
-    if perf is not None:
-        card.perf = perf
 
     fmt = args.format
     if fmt is None:

@@ -13,8 +13,7 @@ from .registry import (ALL_EXPERIMENT_IDS, EXPERIMENT_DESCRIPTIONS,
 from .response_figs import (ResponseFigure, Table1, build_table1,
                             response_figure, table1_row)
 from .rtt_figs import RttFigure, rtt_figure
-from .scorecard import (PerfBlock, Scorecard, Statistic, append_trend,
-                        build_scorecard, perf_from_artifacts)
+from .scorecard import Scorecard, Statistic, append_trend, build_scorecard
 
 __all__ = [
     "Scale", "ScaleParams", "SCALE_PARAMS", "WorkloadBank", "WorkloadKey",
@@ -29,6 +28,5 @@ __all__ = [
     "AblationResult", "AblationPoint", "policy_comparison",
     "latency_pressure", "popularity_sweep", "top_peer_caching",
     "isp_aware_tracker",
-    "Scorecard", "Statistic", "PerfBlock", "build_scorecard",
-    "append_trend", "perf_from_artifacts",
+    "Scorecard", "Statistic", "build_scorecard", "append_trend",
 ]

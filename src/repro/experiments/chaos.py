@@ -26,7 +26,7 @@ this).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..analysis.locality import traffic_locality
 from ..analysis.report import format_table

@@ -18,10 +18,10 @@ Two reference columns per statistic:
   claims — which ISP wins, the sign of the correlation, which model
   fits — with generous margins, not the paper's point values.
 
-The scorecard also carries an engine-perf block (events executed,
-events/s, span counts) and serialises to markdown, HTML and a compact
-JSON trend record appended to ``benchmarks/results/trend.jsonl`` so CI
-accumulates a fidelity/perf trajectory across commits.
+The scorecard serialises to markdown, HTML and a compact JSON trend
+record appended to ``benchmarks/results/trend.jsonl``, so CI
+accumulates a fidelity trajectory across commits.  Engine speed is not
+scored here: ``benchmarks/perf`` is the one perf benchmark.
 """
 
 from __future__ import annotations
@@ -30,11 +30,9 @@ import html as html_mod
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..analysis.response import ResponseGroup
-from ..network.isp import ISPCategory
-from ..obs import EngineProfiler, Instrumentation, MemorySpanSink
 from .base import Scale, WorkloadBank
 from .collect import PAPER_TARGETS
 from .registry import run_experiment
@@ -88,33 +86,12 @@ class Statistic:
 
 
 @dataclass
-class PerfBlock:
-    """Engine performance numbers for the runs behind the scorecard."""
-
-    events_executed: int = 0
-    wall_seconds: float = 0.0
-    events_per_sec: float = 0.0
-    spans_recorded: int = 0
-    metric_series: int = 0
-    sessions: int = 0
-
-    def to_record(self) -> dict:
-        return {"events_executed": self.events_executed,
-                "wall_seconds": round(self.wall_seconds, 3),
-                "events_per_sec": round(self.events_per_sec, 1),
-                "spans_recorded": self.spans_recorded,
-                "metric_series": self.metric_series,
-                "sessions": self.sessions}
-
-
-@dataclass
 class Scorecard:
     """The full fidelity report for one build/scale/seed."""
 
     scale: str
     seed: int
     statistics: List[Statistic] = field(default_factory=list)
-    perf: PerfBlock = field(default_factory=PerfBlock)
     label: str = ""
 
     @property
@@ -147,10 +124,6 @@ class Scorecard:
             prose = PAPER_TARGETS.get(figure)
             if prose:
                 lines.append(f"- **{figure}** — {prose}")
-        lines += ["", "## Engine performance", ""]
-        perf = self.perf.to_record()
-        lines += [f"- {key.replace('_', ' ')}: {value}"
-                  for key, value in perf.items()]
         lines.append("")
         return "\n".join(lines)
 
@@ -168,9 +141,6 @@ class Scorecard:
                 f"<td>{esc(s.format_paper())}</td>"
                 f"<td style='color:{color}'>{esc(s.status)}</td>"
                 "</tr>")
-        perf_items = "".join(
-            f"<li>{esc(key.replace('_', ' '))}: {value}</li>"
-            for key, value in self.perf.to_record().items())
         return (
             "<!DOCTYPE html><html><head><meta charset='utf-8'>"
             "<title>Run-fidelity scorecard</title>"
@@ -186,7 +156,6 @@ class Scorecard:
             "<table><tr><th>figure</th><th>statistic</th>"
             "<th>measured</th><th>target range</th><th>paper</th>"
             f"<th>status</th></tr>{''.join(rows)}</table>"
-            f"<h2>Engine performance</h2><ul>{perf_items}</ul>"
             "</body></html>")
 
     # ------------------------------------------------------------------
@@ -205,7 +174,6 @@ class Scorecard:
                            (round(s.value, 6) if s.value is not None
                             else None)
                            for s in self.statistics},
-            "perf": self.perf.to_record(),
         }
 
 
@@ -257,22 +225,14 @@ _TABLE1_PAPER = {"tele-popular": {ResponseGroup.TELE: 0.7889,
 
 def build_scorecard(bank: Optional[WorkloadBank] = None,
                     scale: Scale = Scale.SMALL, seed: int = 7,
-                    label: str = "",
-                    instrumentation: Optional[Instrumentation] = None
-                    ) -> Scorecard:
+                    label: str = "") -> Scorecard:
     """Run the four canonical sessions and score every statistic.
 
     All of Figures 2-5, 11-18 and Table 1 derive from the bank's four
     memoised sessions, so the whole scorecard costs four simulations.
-    When no ``instrumentation`` is supplied, one with metrics, profiler
-    and an in-memory span sink is created so the perf block is real.
     """
-    obs = instrumentation
-    if obs is None:
-        obs = Instrumentation(spans=MemorySpanSink(),
-                              profiler=EngineProfiler())
     if bank is None:
-        bank = WorkloadBank(instrumentation=obs)
+        bank = WorkloadBank()
 
     card = Scorecard(scale=scale.value, seed=seed, label=label)
     stats = card.statistics
@@ -327,26 +287,7 @@ def build_scorecard(bank: Optional[WorkloadBank] = None,
                 "table1", f"{row_label} avg response ({group})",
                 averages.get(group), (0.05, 5.0),
                 paper=paper_row.get(group), unit="s"))
-
-    obs.finalize()
-    card.perf = _perf_block(obs)
     return card
-
-
-def _perf_block(obs: Instrumentation) -> PerfBlock:
-    perf = PerfBlock()
-    profiler = obs.profiler
-    if profiler is not None:
-        perf.events_executed = profiler.total_events
-        perf.wall_seconds = profiler.total_wall_seconds
-        if perf.wall_seconds > 0:
-            perf.events_per_sec = (perf.events_executed
-                                   / perf.wall_seconds)
-    perf.spans_recorded = obs.spans.spans_recorded
-    perf.metric_series = len(obs.metrics)
-    sessions = obs.metrics.counter("sim.sessions_run")
-    perf.sessions = int(getattr(sessions, "value", 0) or 0)
-    return perf
 
 
 def append_trend(card: Scorecard, path: Path) -> dict:
@@ -359,37 +300,4 @@ def append_trend(card: Scorecard, path: Path) -> dict:
     return record
 
 
-def perf_from_artifacts(metrics_path: Optional[str] = None,
-                        spans_path: Optional[str] = None) -> PerfBlock:
-    """Perf block reconstructed from a finished run's artifact files
-    (``--metrics`` JSONL and ``--spans`` JSONL/Chrome trace), for
-    ``repro report --metrics-in/--spans-in``."""
-    from ..obs import read_metrics_jsonl
-    from ..obs.spans import read_chrome_trace, read_spans_jsonl
-
-    perf = PerfBlock()
-    if metrics_path:
-        records = read_metrics_jsonl(metrics_path)
-        perf.metric_series = len(records)
-        for record in records:
-            name = record.get("name")
-            if name == "sim.events_executed":
-                perf.events_executed += int(record.get("value", 0))
-            elif name == "sim.sessions_run":
-                perf.sessions += int(record.get("value", 0))
-            elif name == "sim.wall_seconds_total":
-                perf.wall_seconds += float(record.get("value", 0.0))
-        if perf.wall_seconds > 0:
-            perf.events_per_sec = perf.events_executed / perf.wall_seconds
-    if spans_path:
-        if spans_path.endswith(".json"):
-            events = read_chrome_trace(spans_path)
-            perf.spans_recorded = sum(1 for e in events
-                                      if e.get("ph") != "M")
-        else:
-            perf.spans_recorded = len(read_spans_jsonl(spans_path))
-    return perf
-
-
-__all__ = ["Statistic", "PerfBlock", "Scorecard", "build_scorecard",
-           "append_trend", "perf_from_artifacts"]
+__all__ = ["Statistic", "Scorecard", "build_scorecard", "append_trend"]

@@ -8,10 +8,10 @@ results.  :func:`run_jobs` is that execution layer:
 
 * ``workers=1`` (the default) runs every job in-process, in input
   order — the exact code path a plain serial loop would take;
-* ``workers>1`` fans jobs out to a :class:`ProcessPoolExecutor`, with a
-  per-job timeout, a bounded number of pool retry rounds after worker
-  crashes, and a final in-process fallback for anything the pool could
-  not finish — so a poisoned job degrades throughput, never correctness;
+* ``workers>1`` fans jobs out to a :class:`ProcessPoolExecutor`, with
+  one more pool round for jobs whose worker crashed and a final
+  in-process fallback for anything the pool could not finish — so a
+  poisoned job degrades throughput, never correctness;
 * results are merged **by job key, never by completion order**
   (:func:`merge_by_key`), which is the entire determinism contract:
   because each job seeds itself from its key, ordering is the only
@@ -39,6 +39,10 @@ from ..obs import resolve as resolve_obs
 WHERE_SERIAL = "serial"      # workers=1 (or an empty pool request)
 WHERE_POOL = "pool"          # in a ProcessPoolExecutor worker
 WHERE_FALLBACK = "fallback"  # in-process, after the pool gave up
+
+#: Pool rounds before the in-process fallback: the first submission
+#: plus one retry for jobs whose worker crashed.
+_POOL_ROUNDS = 2
 
 
 @dataclass(frozen=True)
@@ -141,35 +145,14 @@ def _make_pool(workers: int) -> Optional[concurrent.futures.Executor]:
         return None
 
 
-def _shutdown(executor: concurrent.futures.Executor,
-              timed_out: bool) -> None:
-    """Release the pool without blocking on hung workers.
-
-    After a timeout the pool may hold a worker stuck inside a job that
-    cannot be cancelled; a plain shutdown would wait on it forever, so
-    the worker processes are terminated instead.
-    """
-    if not timed_out:
-        executor.shutdown(wait=True)
-        return
-    executor.shutdown(wait=False, cancel_futures=True)
-    processes = getattr(executor, "_processes", None) or {}
-    for process in list(processes.values()):
-        try:
-            process.terminate()
-        except Exception:  # pragma: no cover - best-effort cleanup
-            pass
-
-
 def _run_pool(jobs: Sequence[Job], workers: int,
-              timeout: Optional[float], retries: int,
               obs: Instrumentation) -> Dict[Hashable, JobOutcome]:
-    """Pool execution with bounded retry rounds and serial fallback."""
+    """Pool execution with a bounded retry round and serial fallback."""
     outcomes: Dict[Hashable, JobOutcome] = {}
     attempts: Dict[Hashable, int] = {job.key: 0 for job in jobs}
     pending: List[Job] = list(jobs)
 
-    for round_index in range(1 + max(0, retries)):
+    for round_index in range(_POOL_ROUNDS):
         if not pending:
             break
         if round_index > 0 and obs.enabled:
@@ -178,8 +161,7 @@ def _run_pool(jobs: Sequence[Job], workers: int,
         if executor is None:
             break  # pool unavailable: everything left runs in-process
         failed: List[Job] = []
-        timed_out = False
-        try:
+        with executor:
             submitted: List[Tuple[Job, concurrent.futures.Future, float]] = []
             try:
                 for job in pending:
@@ -192,25 +174,14 @@ def _run_pool(jobs: Sequence[Job], workers: int,
                 # Submission itself failed (pool broken mid-build);
                 # whatever never got a future retries next round.
                 failed.extend(pending[len(submitted):])
-            # Collect in submission order: earlier waits overlap the
-            # execution of every later job, so ``timeout`` is a per-job
-            # ceiling, not a serial budget.
             for job, future, submit_time in submitted:
                 attempts[job.key] += 1
                 try:
-                    value, started, finished = future.result(timeout=timeout)
-                except concurrent.futures.TimeoutError:
-                    timed_out = True
-                    future.cancel()
-                    failed.append(job)
-                    if obs.enabled:
-                        obs.metrics.counter("parallel.timeouts").inc()
+                    value, started, finished = future.result()
                 except concurrent.futures.process.BrokenProcessPool:
                     failed.append(job)
                     if obs.enabled:
                         obs.metrics.counter("parallel.worker_crashes").inc()
-                except concurrent.futures.CancelledError:
-                    failed.append(job)
                 except Exception:
                     # The job itself raised in the worker; retrying a
                     # deterministic failure is futile in the pool, but
@@ -224,8 +195,6 @@ def _run_pool(jobs: Sequence[Job], workers: int,
                         wall_clock=finished - started,
                         queue_wait=max(0.0, started - submit_time),
                         where=WHERE_POOL)
-        finally:
-            _shutdown(executor, timed_out)
         pending = failed
 
     for job in pending:  # graceful in-process fallback, input order
@@ -238,14 +207,10 @@ def _run_pool(jobs: Sequence[Job], workers: int,
 # Public API
 # ----------------------------------------------------------------------
 def execute_jobs(jobs: Sequence[Job], *, workers: int = 1,
-                 timeout: Optional[float] = None, retries: int = 1,
                  obs: Optional[Instrumentation] = None) -> List[JobOutcome]:
     """Run ``jobs`` and return their outcomes in **input order**.
 
-    ``workers`` is the process count (``1`` = in-process serial path);
-    ``timeout`` is a per-job ceiling in seconds (pool mode only);
-    ``retries`` bounds the extra pool rounds after worker crashes or
-    timeouts before the in-process fallback runs the leftovers.
+    ``workers`` is the process count (``1`` = in-process serial path).
     """
     jobs = list(jobs)
     keys = [job.key for job in jobs]
@@ -259,7 +224,7 @@ def execute_jobs(jobs: Sequence[Job], *, workers: int = 1,
         outcomes = {job.key: _run_in_process(job, 0, WHERE_SERIAL)
                     for job in jobs}
     else:
-        outcomes = _run_pool(jobs, workers, timeout, retries, resolved)
+        outcomes = _run_pool(jobs, workers, resolved)
 
     ordered = list(merge_by_key(keys, outcomes).values())
     if resolved.enabled:
@@ -272,12 +237,10 @@ def execute_jobs(jobs: Sequence[Job], *, workers: int = 1,
 
 
 def run_jobs(jobs: Sequence[Job], *, workers: int = 1,
-             timeout: Optional[float] = None, retries: int = 1,
              obs: Optional[Instrumentation] = None) -> "OrderedDict":
     """Like :func:`execute_jobs` but returns ``{key: value}`` in input
     order — the deterministic merged result most callers want."""
-    outcomes = execute_jobs(jobs, workers=workers, timeout=timeout,
-                            retries=retries, obs=obs)
+    outcomes = execute_jobs(jobs, workers=workers, obs=obs)
     return OrderedDict((outcome.key, outcome.value)
                        for outcome in outcomes)
 

@@ -3,15 +3,14 @@
 The contract under test: because every simulation unit derives its RNG
 streams from its own key, fanning units out to worker processes must
 change *nothing* about the results — ``run_campaign(..., jobs=N)`` is
-byte-identical for every ``N``, worker crashes and timeouts degrade
-throughput but never output, and the serial path's campaign-level event
-stream is exactly what it was before the parallel layer existed.
+byte-identical for every ``N``, worker crashes degrade throughput but
+never output, and the serial path's campaign-level event stream is
+exactly what it was before the parallel layer existed.
 """
 
 import io
 import multiprocessing
 import os
-import time
 
 import pytest
 
@@ -44,13 +43,6 @@ def _crash_in_worker(x):
     if multiprocessing.parent_process() is not None:
         os._exit(17)
     return x + 100
-
-
-def _sleep_in_worker(x):
-    """Hangs any pool worker; returns immediately in-process."""
-    if multiprocessing.parent_process() is not None:
-        time.sleep(300.0)
-    return x
 
 
 def _always_raise(x):
@@ -104,8 +96,7 @@ class TestCrashAndTimeout:
         jobs = [Job(key="a", fn=_square, args=(3,)),
                 Job(key="poison", fn=_crash_in_worker, args=(1,)),
                 Job(key="b", fn=_square, args=(4,))]
-        outcomes = {o.key: o for o in execute_jobs(jobs, workers=2,
-                                                   retries=1)}
+        outcomes = {o.key: o for o in execute_jobs(jobs, workers=2)}
         # Every job delivered the right value despite the crash ...
         assert outcomes["a"].value == 9
         assert outcomes["b"].value == 16
@@ -114,24 +105,10 @@ class TestCrashAndTimeout:
         assert outcomes["poison"].where == WHERE_FALLBACK
         assert outcomes["poison"].attempts == 3  # 2 pool rounds + fallback
 
-    def test_timeout_falls_back_without_hanging(self):
-        started = time.monotonic()
-        jobs = [Job(key="slow", fn=_sleep_in_worker, args=(7,)),
-                Job(key="ok", fn=_square, args=(2,))]
-        outcomes = {o.key: o for o in execute_jobs(jobs, workers=2,
-                                                   timeout=1.0,
-                                                   retries=0)}
-        elapsed = time.monotonic() - started
-        assert outcomes["slow"].value == 7
-        assert outcomes["slow"].where == WHERE_FALLBACK
-        assert outcomes["ok"].value == 4
-        # The 300 s worker sleep must not block the merge.
-        assert elapsed < 60.0
-
     def test_deterministic_failure_raises_job_failure(self):
         with pytest.raises(JobFailure, match="bad"):
             run_jobs([Job(key="bad", fn=_always_raise, args=(0,))],
-                     workers=2, retries=1)
+                     workers=2)
 
     def test_failure_raises_in_serial_mode_too(self):
         with pytest.raises(JobFailure):

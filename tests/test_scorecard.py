@@ -1,8 +1,8 @@
 """Tests for the run-fidelity scorecard (``repro report``).
 
 One real scorecard is built at SMALL scale (four memoised sessions) and
-shared module-wide; everything about rendering, trend records and
-artifact-derived perf is tested on cheap synthetic cards.
+shared module-wide; rendering details and the trend file are tested on
+cheap synthetic cards.
 """
 
 import json
@@ -12,9 +12,8 @@ import pytest
 from repro.analysis.response import ResponseGroup
 from repro.experiments import Scale
 from repro.experiments.collect import PAPER_TARGETS
-from repro.experiments.scorecard import (PerfBlock, Scorecard, Statistic,
-                                         append_trend, build_scorecard,
-                                         perf_from_artifacts)
+from repro.experiments.scorecard import (Scorecard, Statistic,
+                                         append_trend, build_scorecard)
 
 #: Figures whose statistics must appear in every scorecard — all the
 #: paper-target statistics repro.analysis computes.
@@ -80,15 +79,6 @@ class TestBuildScorecard:
         assert card.scored == len(card.statistics)
         assert card.passed >= card.scored - 5
 
-    def test_perf_block_is_real(self, card):
-        perf = card.perf
-        assert perf.events_executed > 0
-        assert perf.wall_seconds > 0
-        assert perf.events_per_sec > 0
-        assert perf.spans_recorded > 0
-        assert perf.metric_series > 0
-        assert perf.sessions == 4  # the four canonical sessions
-
     def test_statistics_all_scored(self, card):
         # Every line carries a value and a target band at this scale —
         # "n/a" rows would silently shrink the denominator.
@@ -104,8 +94,8 @@ class TestRendering:
             assert s.name in text
         for fig in EXPECTED_FIGURES[:-1]:
             assert PAPER_TARGETS[fig] in text
-        assert "## Engine performance" in text
-        assert "events per sec" in text
+        # Speed belongs to benchmarks/perf; the scorecard scores fidelity.
+        assert "Engine performance" not in text
 
     def test_html_renders_and_escapes(self, card):
         page = card.render_html()
@@ -115,6 +105,7 @@ class TestRendering:
                               label="<script>alert(1)</script>")
         assert "<script>" not in synthetic.render_html()
         assert "&lt;script&gt;" in synthetic.render_html()
+        assert "Engine performance" not in page
 
     def test_trend_record_shape(self, card):
         record = card.trend_record()
@@ -125,10 +116,8 @@ class TestRendering:
         assert len(record["statistics"]) == len(card.statistics)
         assert "fig02.byte_locality_(own-isp_share)" in \
             record["statistics"]
-        assert set(record["perf"]) == {"events_executed",
-                                       "wall_seconds", "events_per_sec",
-                                       "spans_recorded",
-                                       "metric_series", "sessions"}
+        assert set(record) == {"kind", "label", "scale", "seed", "passed",
+                               "scored", "statistics"}
         json.dumps(record)  # must be JSON-serialisable as-is
 
 
@@ -145,47 +134,3 @@ class TestTrendFile:
             record = json.loads(line)
             assert record["kind"] == "scorecard"
             assert record["passed"] == 1
-
-
-class TestPerfFromArtifacts:
-    def test_from_metrics_jsonl(self, tmp_path):
-        path = tmp_path / "m.jsonl"
-        rows = [
-            {"name": "sim.events_executed", "type": "counter",
-             "tags": {}, "value": 1000},
-            {"name": "sim.sessions_run", "type": "counter",
-             "tags": {}, "value": 2},
-            {"name": "sim.wall_seconds_total", "type": "gauge",
-             "tags": {}, "value": 4.0},
-            {"name": "net.datagrams_sent", "type": "counter",
-             "tags": {}, "value": 50},
-        ]
-        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-        perf = perf_from_artifacts(metrics_path=str(path))
-        assert perf.events_executed == 1000
-        assert perf.sessions == 2
-        assert perf.wall_seconds == 4.0
-        assert perf.events_per_sec == 250.0
-        assert perf.metric_series == 4
-
-    def test_from_span_artifacts(self, tmp_path):
-        jsonl = tmp_path / "s.jsonl"
-        jsonl.write_text('{"name":"a"}\n{"name":"b"}\n')
-        assert perf_from_artifacts(
-            spans_path=str(jsonl)).spans_recorded == 2
-
-        chrome = tmp_path / "s.json"
-        chrome.write_text(json.dumps({"traceEvents": [
-            {"name": "thread_name", "ph": "M", "pid": 1, "tid": 1,
-             "args": {"name": "x"}},
-            {"name": "a", "ph": "X", "pid": 1, "tid": 1, "ts": 0,
-             "dur": 1},
-            {"name": "b", "ph": "i", "s": "t", "pid": 1, "tid": 1,
-             "ts": 2},
-        ]}))
-        assert perf_from_artifacts(
-            spans_path=str(chrome)).spans_recorded == 2
-
-    def test_empty_block_without_artifacts(self):
-        perf = perf_from_artifacts()
-        assert perf.to_record() == PerfBlock().to_record()
