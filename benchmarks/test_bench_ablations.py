@@ -6,8 +6,6 @@ neighbor-referral/latency machinery is removed, and the oracle baselines
 comparable locality.
 """
 
-import os
-
 import pytest
 
 from repro.experiments.ablations import (isp_aware_tracker,
@@ -16,11 +14,11 @@ from repro.experiments.ablations import (isp_aware_tracker,
                                          popularity_sweep,
                                          top_peer_caching)
 
-from conftest import bench_seed
+from conftest import bench_knob, bench_seed
 
 #: Ablations are medium-cost; keep them smaller than the figure benches.
-POPULATION = int(os.environ.get("REPRO_BENCH_ABLATION_POP", "60"))
-DURATION = float(os.environ.get("REPRO_BENCH_ABLATION_DURATION", "700"))
+POPULATION = bench_knob("REPRO_BENCH_ABLATION_POP")
+DURATION = bench_knob("REPRO_BENCH_ABLATION_DURATION")
 
 
 @pytest.fixture(scope="module")

@@ -21,11 +21,11 @@ from repro.analysis.report import format_table
 from repro.experiments.fig06 import Figure6
 from repro.workload.campaign import CampaignConfig, run_campaign
 
-from conftest import bench_seed
+from conftest import bench_knob, bench_seed
 
 
 def _parallel_days() -> int:
-    return int(os.environ.get("REPRO_BENCH_PARALLEL_DAYS", "8"))
+    return bench_knob("REPRO_BENCH_PARALLEL_DAYS")
 
 
 def _config() -> CampaignConfig:

@@ -19,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .records import (DATA_MISS, DATA_REPLY, DATA_REQUEST,
-                      PEER_LIST_REPLY, PEER_LIST_REQUEST,
-                      TRACKER_QUERY, TRACKER_REPLY, Direction)
+from .records import (DATA_MISS, DATA_REPLY, DATA_REQUEST, PEER_LIST_REPLY,
+                      PEER_LIST_REQUEST, Direction)
 from .store import TraceStore
 
 
@@ -140,12 +139,3 @@ def match_all(trace: TraceStore) -> MatchReport:
                        unanswered_data=unanswered_data,
                        peer_lists=peer_lists,
                        unanswered_peer_lists=unanswered_pl)
-
-
-def tracker_reply_records(trace: TraceStore):
-    """Incoming tracker replies (used by the list-source accounting)."""
-    return trace.incoming(TRACKER_REPLY)
-
-
-def tracker_query_records(trace: TraceStore):
-    return trace.outgoing(TRACKER_QUERY)

@@ -17,7 +17,7 @@ protocol's self-healing paths (tracker failover, automatic
 re-bootstrap, neighbor-table refill after blackouts).
 
 Determinism: both sessions run as :mod:`repro.parallel` jobs with no
-worker-side instrumentation, and every chaos-level metric/span/trace is
+worker-side instrumentation, and every chaos-level metric and span is
 emitted by the parent *after* the deterministic merge — so artifacts are
 byte-identical for every ``--jobs`` value (``tests/test_chaos.py`` pins
 this).
@@ -32,7 +32,7 @@ from ..analysis.locality import traffic_locality
 from ..analysis.report import format_table
 from ..faults import (FaultSchedule, FlashCrowd, LinkDegradation,
                       PeerBlackout, ServerOutage)
-from ..obs import INFO, Instrumentation
+from ..obs import Instrumentation
 from ..obs import resolve as resolve_obs
 from ..parallel.jobs import Job, run_jobs
 from ..workload.popularity import popular_channel_mix
@@ -470,12 +470,6 @@ def _emit_chaos(obs: Instrumentation, result: ChaosResult) -> None:
             metrics.counter("chaos.faults_recovered", tags).inc()
             metrics.gauge("chaos.recovery_seconds", tags).set(
                 report.recovery_time)
-    if obs.trace.enabled_for(INFO):
-        obs.trace.emit(0.0, INFO, "chaos_report",
-                       faults=len(result.reports),
-                       recovered=sum(1 for r in result.reports
-                                     if r.recovered),
-                       rebootstraps=result.faulted.total_rebootstraps)
     if obs.spans.enabled:
         for report in result.reports:
             if report.end > report.start:

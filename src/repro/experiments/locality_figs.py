@@ -42,14 +42,6 @@ class LocalityFigure:
             self.breakdown.probe_category, 0)
         return own / total
 
-    @property
-    def transmissions_own_share(self) -> float:
-        total = sum(self.breakdown.transmissions.values())
-        if total == 0:
-            return 0.0
-        return self.breakdown.transmissions.get(
-            self.breakdown.probe_category, 0) / total
-
     def render(self) -> str:
         b = self.breakdown
         lines: List[str] = [

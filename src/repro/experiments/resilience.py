@@ -185,6 +185,7 @@ def _resilience_cell_job(params: ResilienceParams, cell: Cell) -> dict:
         "neighbors_banned": total("neighbors_banned"),
         "requests_rate_limited": total("requests_rate_limited"),
         "rejected_messages": total("rejected_messages"),
+        "events_executed": result.deployment.sim.events_executed,
     }
 
 
@@ -197,12 +198,18 @@ _CELL_FIELDS = (
     "transit_share", "intra_share", "adversarial_byte_share",
     "top10_upload_share", "adversaries_attached", "poisoned_replies",
     "chunks_refetched", "neighbors_banned", "requests_rate_limited",
-    "rejected_messages")
+    "rejected_messages", "events_executed")
 
 
 def _cell_payload(outcome: dict) -> dict:
     """The checkpoint body of one cell, in stable field order."""
     return {name: outcome[name] for name in _CELL_FIELDS}
+
+
+def _cell_from_payload(_key, payload: dict) -> dict:
+    """A restored cell; one written before cells counted their engine
+    events replays with 0, as a campaign unit without the field does."""
+    return _cell_payload({"events_executed": 0, **payload})
 
 
 def score_cells(cells: List[Cell], outcomes: Dict[int, dict]
@@ -332,6 +339,11 @@ def _emit_resilience(obs: Instrumentation,
     if not obs.enabled:
         return
     metrics = obs.metrics
+    # Cells ran as uninstrumented jobs, so their engine events are
+    # counted here: the run_summary footer sums them.
+    metrics.counter("sim.events_executed").inc(
+        sum(outcome["events_executed"]
+            for outcome in result.outcomes.values()))
     base = result.baseline
     metrics.gauge("resilience.continuity_baseline").set(
         base["continuity"])
@@ -392,7 +404,7 @@ def run_resilience(scale: Scale = Scale.DEFAULT, seed: int = 7,
         checkpoint, resilience_config_digest(params),
         [job.key for job in job_list], seed=params.seed, days=0,
         encode=_cell_payload,
-        decode=lambda _key, payload: _cell_payload(payload))
+        decode=_cell_from_payload)
     merged = run_units(job_list, workers=jobs, checkpoint=store,
                        restored=restored)
 

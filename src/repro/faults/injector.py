@@ -12,10 +12,9 @@ for windowed faults, end/recovery).  Determinism contract:
   normal draws, so the underlay's RNG draw count is unchanged;
 * a silent server outage (``drop_probability == 1``) makes zero draws.
 
-Every fault emits observability metrics (``faults.*``), trace records
-(``fault_begin`` / ``fault_end``) and a begin/end span in the
-``"faults"`` category, so Perfetto timelines show fault windows against
-the peerlist/data/playback chains.
+Every fault emits observability metrics (``faults.*``) and a begin/end
+span in the ``"faults"`` category, so Perfetto timelines show fault
+windows against the peerlist/data/playback chains.
 """
 
 from __future__ import annotations
@@ -71,7 +70,6 @@ class FaultInjector:
         self._spans_open: Dict[str, object] = {}
 
         obs = resolve_obs(obs)
-        self._obs = obs
         self._trace = obs.trace
         self._spans = obs.spans
         self._metrics = obs.metrics
@@ -112,24 +110,18 @@ class FaultInjector:
         self._g_active.set(len(self.active))
         self._metrics.counter("faults.injected",
                               {"kind": event.KIND}).inc()
-        if self._trace.enabled_for(INFO):
-            self._trace.emit(self.sim.now, INFO, "fault_begin",
-                             fault=name, kind=event.KIND, **details)
         if self._spans.enabled:
             self._spans_open[name] = self._spans.start_span(
                 f"fault:{event.KIND}", "faults", self.sim.now,
                 actor="faults", fault=name, **details)
 
-    def _end(self, name: str, event, **details) -> None:
+    def _end(self, name: str, event) -> None:
         self.faults_ended += 1
         if name in self.active:
             self.active.remove(name)
         self._g_active.set(len(self.active))
         self._metrics.counter("faults.recovered",
                               {"kind": event.KIND}).inc()
-        if self._trace.enabled_for(INFO):
-            self._trace.emit(self.sim.now, INFO, "fault_end",
-                             fault=name, kind=event.KIND, **details)
         span = self._spans_open.pop(name, None)
         if span is not None:
             span.finish(self.sim.now)
@@ -141,9 +133,6 @@ class FaultInjector:
                               {"kind": event.KIND}).inc()
         self._metrics.counter("faults.recovered",
                               {"kind": event.KIND}).inc()
-        if self._trace.enabled_for(INFO):
-            self._trace.emit(self.sim.now, INFO, "fault_begin",
-                             fault=name, kind=event.KIND, **details)
         if self._spans.enabled:
             self._spans.instant(f"fault:{event.KIND}", "faults",
                                 self.sim.now, actor="faults", fault=name,
@@ -190,7 +179,7 @@ class FaultInjector:
     def _outage_end(self, name: str, event: ServerOutage) -> None:
         for host in self._outage_hosts(event.target):
             host.clear_fault_filter()
-        self._end(name, event, target=event.target)
+        self._end(name, event)
 
     # ------------------------------------------------------------------
     # Link degradation
@@ -225,7 +214,7 @@ class FaultInjector:
                          pair_class: PairClass,
                          override: PathOverride) -> None:
         self.latency.pop_override(pair_class, override)
-        self._end(name, event, pair_class=event.pair_class)
+        self._end(name, event)
 
     # ------------------------------------------------------------------
     # Correlated peer failure
@@ -279,7 +268,7 @@ class FaultInjector:
         self.population.inject_arrival()
 
     def _crowd_end(self, name: str, event: FlashCrowd) -> None:
-        self._end(name, event, arrivals=event.arrivals)
+        self._end(name, event)
 
     # ------------------------------------------------------------------
     # Adversarial peers
@@ -328,4 +317,4 @@ class FaultInjector:
         hook = self._adversary_hooks.pop(name, None)
         if hook is not None and self.population is not None:
             self.population.remove_spawn_hook(hook)
-        self._end(name, event, behavior=event.behavior)
+        self._end(name, event)

@@ -104,8 +104,5 @@ class AddressAllocator:
         except KeyError:
             raise KeyError(f"address {address} was never allocated") from None
 
-    def allocated_count(self) -> int:
-        return len(self._allocated)
-
     def __contains__(self, address: str) -> bool:
         return address in self._allocated

@@ -20,13 +20,20 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional
 
-from ..obs import DEBUG, WARNING, Instrumentation
+from ..obs import DEBUG, Instrumentation, MetricsRegistry
 from ..obs import resolve as resolve_obs
 from ..sim.engine import Simulator
 from .bandwidth import AccessProfile, UplinkQueue
 from .datagram import HEADER_BYTES, Datagram
 from .isp import ISP
 from .latency import LatencyModel
+
+#: The plain per-datagram counters :meth:`UdpNetwork.fold_counters`
+#: publishes as ``net.<name>`` counters.
+_FOLDED_COUNTERS = ("datagrams_sent", "datagrams_delivered",
+                    "datagrams_lost", "datagrams_dropped_uplink",
+                    "datagrams_dropped_offline", "datagrams_dropped_fault",
+                    "bytes_delivered")
 
 #: Tap signature: (event, datagram, time).  ``event`` is "send" (the
 #: datagram left the sender's uplink) or "recv" (it was delivered).
@@ -110,7 +117,7 @@ class Host:
 
         Each datagram's fate and delivery time, each RNG stream's draw
         order and every tap event are those of calling :meth:`send` per
-        triple in order; only trace records of different kinds come
+        triple in order; only observer records of different kinds come
         grouped by phase (see :meth:`UdpNetwork.send_many`).
         """
         self.network.send_many(self, sends)
@@ -148,29 +155,30 @@ class UdpNetwork:
         self.datagrams_dropped_fault = 0
         self.bytes_delivered = 0
         # Observability: instruments are bound once here; with the
-        # default null bundle every update below is a no-op call.
+        # default null bundle every update below is a no-op call.  The
+        # plain counters above reach the registry once, through
+        # fold_counters, not per datagram.
         obs = resolve_obs(obs)
-        self._obs = obs
         self._obs_enabled = obs.enabled
         self._trace = obs.trace
         self._spans = obs.spans
         metrics = obs.metrics
         self._m_messages_sent = metrics.counter_family(
             "net.messages_sent", "type")
-        self._m_sent = metrics.counter("net.datagrams_sent")
-        self._m_delivered = metrics.counter("net.datagrams_delivered")
-        self._m_lost = metrics.counter("net.datagrams_lost")
-        self._m_dropped_uplink = metrics.counter(
-            "net.datagrams_dropped_uplink")
-        self._m_dropped_offline = metrics.counter(
-            "net.datagrams_dropped_offline")
-        self._m_dropped_fault = metrics.counter(
-            "net.datagrams_dropped_fault")
-        self._m_bytes_delivered = metrics.counter("net.bytes_delivered")
         self._m_bytes_queued = metrics.counter("net.bytes_queued_uplink")
         self._h_backlog = metrics.histogram(
             "net.uplink_backlog_seconds",
             bounds=(0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 5.0))
+
+    def fold_counters(self, metrics: MetricsRegistry) -> None:
+        """Add the transport's datagram and byte totals to ``metrics``.
+
+        Called once at session end, after the last send (the probes'
+        Goodbyes included); a session that never reaches it contributes
+        nothing to these series.
+        """
+        for name in _FOLDED_COUNTERS:
+            metrics.counter(f"net.{name}").inc(getattr(self, name))
 
     # ------------------------------------------------------------------
     # Registry
@@ -210,10 +218,10 @@ class UdpNetwork:
     def add_tap(self, tap: TapFn) -> None:
         """Register ``tap`` to observe every ``send`` and ``recv``.
 
-        Drops are not tap events: each keeps its transport counter and
-        trace record.  A tap may be registered at most once —
-        double-accounting bytes silently would corrupt any ledger
-        attached here — so a duplicate registration raises instead.
+        Drops are not tap events: each keeps its transport counter.  A
+        tap may be registered at most once — double-accounting bytes
+        silently would corrupt any ledger attached here — so a
+        duplicate registration raises instead.
         """
         if tap in self._taps:
             raise ValueError(f"tap {tap!r} is already registered")
@@ -274,19 +282,12 @@ class UdpNetwork:
         wire_bytes = payload_bytes + HEADER_BYTES
         self.datagrams_sent += 1
         if self._obs_enabled:
-            self._m_sent.inc()
             self._m_messages_sent.labeled(type(payload).__name__).inc()
             self._h_backlog.observe(src_host.uplink.backlog(now))
 
         uplink_delay = src_host.uplink.enqueue(wire_bytes, now)
         if uplink_delay is None:
             self.datagrams_dropped_uplink += 1
-            self._m_dropped_uplink.inc()
-            if self._trace.enabled_for(WARNING):
-                self._trace.emit(now, WARNING, "uplink_tail_drop",
-                                 src=datagram.src, dst=dst,
-                                 wire_bytes=wire_bytes,
-                                 msg=type(payload).__name__)
             if self._spans.enabled:
                 # Tail drops truncate data transactions: the instant
                 # marks where a request/reply span will end in timeout.
@@ -306,7 +307,6 @@ class UdpNetwork:
         dst_isp = dst_host.isp if dst_host is not None else None
         if dst_isp is not None and latency.is_lost(src_host.isp, dst_isp):
             self.datagrams_lost += 1
-            self._m_lost.inc()
             if self._trace.enabled_for(DEBUG):
                 self._trace.emit(now, DEBUG, "path_loss",
                                  src=datagram.src, dst=dst,
@@ -343,9 +343,10 @@ class UdpNetwork:
           and delivery time, every counter, the draw order of each RNG
           stream (loss and jitter live on separate streams, so phasing
           cannot interleave them), and every tap event;
-        * not identical: trace records of *different* kinds come
-          grouped by phase (every ``uplink_tail_drop`` of the cohort
-          before its first ``path_loss``), not packet by packet.
+        * not identical: observer records of *different* kinds come
+          grouped by phase (every ``uplink_tail_drop`` span instant of
+          the cohort before its first ``path_loss`` trace record), not
+          packet by packet.
 
         Each surviving datagram is posted as its own ``udp-deliver``
         event, in cohort order.
@@ -370,8 +371,6 @@ class UdpNetwork:
         # Cohort-constant counters fold into one update each; per-packet
         # increments stay per-packet only where a drop can interleave.
         self.datagrams_sent += len(sends)
-        if obs_enabled:
-            self._m_sent.inc(len(sends))
         queued_bytes = 0
         for dst, payload, payload_bytes in sends:
             datagram = Datagram(src=src_address, dst=dst, payload=payload,
@@ -383,12 +382,6 @@ class UdpNetwork:
             uplink_delay = enqueue(wire_bytes, now)
             if uplink_delay is None:
                 self.datagrams_dropped_uplink += 1
-                self._m_dropped_uplink.inc()
-                if trace.enabled_for(WARNING):
-                    trace.emit(now, WARNING, "uplink_tail_drop",
-                               src=src_address, dst=dst,
-                               wire_bytes=wire_bytes,
-                               msg=type(payload).__name__)
                 if spans.enabled:
                     spans.instant("uplink_tail_drop", "net", now,
                                   actor=src_address, dst=dst,
@@ -424,7 +417,6 @@ class UdpNetwork:
                 if lost:
                     datagram = entry[0]
                     self.datagrams_lost += 1
-                    self._m_lost.inc()
                     if trace.enabled_for(DEBUG):
                         trace.emit(now, DEBUG, "path_loss",
                                    src=src_address, dst=datagram.dst,
@@ -449,11 +441,9 @@ class UdpNetwork:
         host = self._hosts.get(datagram.dst)
         if host is None:
             self.datagrams_dropped_offline += 1
-            self._m_dropped_offline.inc()
             return
         if host._fault_filter is not None and host.fault_drops():
             self.datagrams_dropped_fault += 1
-            self._m_dropped_fault.inc()
             if self._trace.enabled_for(DEBUG):
                 self._trace.emit(self.sim.clock._now, DEBUG, "fault_drop",
                                  src=datagram.src, dst=datagram.dst,
@@ -462,11 +452,6 @@ class UdpNetwork:
         wire_bytes = datagram.payload_bytes + HEADER_BYTES
         self.datagrams_delivered += 1
         self.bytes_delivered += wire_bytes
-        if self._obs_enabled:
-            # Null-instrument calls are no-ops but not free at this
-            # volume; the flag mirrors whether the metrics are real.
-            self._m_delivered.inc()
-            self._m_bytes_delivered.inc(wire_bytes)
         sink = self._flow_sink
         if sink is not None:
             sink(datagram, self.sim.clock._now, wire_bytes)

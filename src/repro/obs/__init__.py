@@ -54,9 +54,8 @@ from .metrics import (DEFAULT_BUCKETS, NULL_COUNTER_FAMILY,
 from .profiler import EngineProfiler, EngineSample, HeartbeatSampler
 from .spans import (NULL_SPAN, NULL_SPAN_SINK, ChromeTraceSink,
                     JsonlSpanSink, MemorySpanSink, NullSpanSink, Span,
-                    SpanSink, TeeSpanSink, read_chrome_trace,
-                    read_spans_jsonl, span_categories,
-                    validate_chrome_trace)
+                    SpanSink, read_chrome_trace, read_spans_jsonl,
+                    span_categories, validate_chrome_trace)
 from .trace import (DEBUG, ERROR, INFO, NULL_SINK, WARNING, JsonlSink,
                     LoggingSink, NullSink, RingSink, TeeSink, TraceSink,
                     level_from_name, read_trace_jsonl)
@@ -71,7 +70,7 @@ __all__ = [
     "LoggingSink", "TeeSink", "level_from_name", "read_trace_jsonl",
     "DEBUG", "INFO", "WARNING", "ERROR",
     "Span", "SpanSink", "NullSpanSink", "NULL_SPAN_SINK", "NULL_SPAN",
-    "MemorySpanSink", "JsonlSpanSink", "ChromeTraceSink", "TeeSpanSink",
+    "MemorySpanSink", "JsonlSpanSink", "ChromeTraceSink",
     "read_spans_jsonl", "read_chrome_trace", "validate_chrome_trace",
     "span_categories",
     "EngineProfiler", "EngineSample", "HeartbeatSampler",

@@ -33,12 +33,11 @@ Sinks mirror the :class:`repro.obs.trace.TraceSink` contract:
 * :class:`ChromeTraceSink` — streams Chrome trace-event format JSON so
   a run opens directly in Perfetto (https://ui.perfetto.dev) or
   ``chrome://tracing``.
-* :class:`TeeSpanSink` — fans spans out to several sinks.
 """
 
 from __future__ import annotations
 
-from typing import IO, Dict, List, Optional, Sequence, Union
+from typing import IO, Dict, List, Optional, Union
 
 from .jsonl import (PathOrFile, encode_record, open_text, read_jsonl,
                     shared_decoder)
@@ -319,28 +318,6 @@ class ChromeTraceSink(SpanSink):
         self._file.flush()
         if self._owns_file:
             self._file.close()
-
-
-class TeeSpanSink(SpanSink):
-    """Fans each finished span out to every child sink.
-
-    The tee allocates the IDs; children only record, so span identity
-    is consistent across all outputs.
-    """
-
-    def __init__(self, sinks: Sequence[SpanSink]) -> None:
-        if not sinks:
-            raise ValueError("TeeSpanSink needs at least one child sink")
-        super().__init__()
-        self.sinks = list(sinks)
-
-    def _write(self, span: Span) -> None:
-        for sink in self.sinks:
-            sink._record(span)
-
-    def close(self) -> None:
-        for sink in self.sinks:
-            sink.close()
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,11 @@
 A *trace record* is one timestamped, levelled, named event with arbitrary
 flat fields — the simulator's analogue of a structured log line::
 
-    sink.emit(sim.now, WARNING, "uplink_drop", src="10.0.1.7",
-              dst="10.2.0.3", wire_bytes=1420)
+    sink.emit(sim.now, WARNING, "playback_resync", peer="10.0.1.7",
+              isp="ChinaTelecom", live_chunk=840, behind=35)
+
+The trace carries only events no span or metric carries; transactions
+and intervals (requests, stalls, tail drops, fault windows) are spans.
 
 Sinks decide what happens to records:
 

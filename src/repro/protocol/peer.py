@@ -180,9 +180,6 @@ class PPLivePeer(Host):
         self.go_online()
         self.joined_at = self.sim.now
         self.phase = PeerPhase.BOOTSTRAPPING
-        if self._trace.enabled_for(INFO):
-            self._trace.emit(self.sim.now, INFO, "peer_join",
-                             peer=self.address, isp=self.isp.name)
         if self._spans.enabled:
             self._join_span = self._spans.start_span(
                 "channel_join", "bootstrap", self.sim.now,
@@ -375,10 +372,6 @@ class PPLivePeer(Host):
     def _become_active(self) -> None:
         self.phase = PeerPhase.ACTIVE
         now = self.sim.now
-        if self._trace.enabled_for(INFO):
-            self._trace.emit(now, INFO, "peer_active", peer=self.address,
-                             isp=self.isp.name,
-                             startup_delay=now - (self.joined_at or now))
         if self._join_span is not None:
             self._join_span.finish(now, trackers=len(self.trackers))
         live = self.channel.live_chunk(now)

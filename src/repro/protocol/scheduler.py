@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from ..obs import WARNING, Instrumentation
+from ..obs import Instrumentation
 from ..obs import resolve as resolve_obs
 from ..sim.engine import Simulator
 from ..sim.random import weighted_choice
@@ -141,7 +141,6 @@ class DataScheduler:
         self.poisoned_rejected = 0
         # Observability: series shared per tag set (usually per ISP).
         obs = resolve_obs(obs)
-        self._trace = obs.trace
         self._spans = obs.spans
         self._actor = actor
         self._span_parent = span_parent
@@ -447,10 +446,6 @@ class DataScheduler:
         self.poisoned_rejected += 1
         if pending.span is not None:
             pending.span.finish(self.sim.now, "poisoned")
-        if self._trace.enabled_for(WARNING):
-            self._trace.emit(self.sim.now, WARNING, "poisoned_reply",
-                             neighbor=pending.neighbor, seq=pending.seq,
-                             chunk=pending.chunk)
         neighbor = self.neighbors.get(pending.neighbor)
         if neighbor is not None:
             neighbor.cooldown_until = (self.sim.now
@@ -469,11 +464,6 @@ class DataScheduler:
         self._m_timeouts.inc()
         if pending.span is not None:
             pending.span.finish(self.sim.now, "timeout")
-        if self._trace.enabled_for(WARNING):
-            self._trace.emit(self.sim.now, WARNING, "data_request_timeout",
-                             neighbor=pending.neighbor, seq=pending.seq,
-                             chunk=pending.chunk,
-                             to_source=pending.to_source)
         if pending.to_source:
             self._source_cooldown_until = (self.sim.now
                                            + self.config.timeout_cooldown)

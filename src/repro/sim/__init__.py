@@ -5,15 +5,12 @@ Public surface:
 * :class:`Simulator` — event loop, clock, scheduling, timers.
 * :class:`Timer` — repeating timer with optional per-round jitter.
 * :class:`RandomRouter` — deterministic named RNG substreams.
-* :func:`spawn` / :class:`Sleep` — generator-based sequential processes.
 """
 
 from .clock import Clock
 from .engine import Simulator, Timer
-from .errors import (EngineStoppedError, ProcessError, SchedulingError,
-                     SimulationError)
+from .errors import EngineStoppedError, SchedulingError, SimulationError
 from .events import Event, EventQueue
-from .process import Process, ProcessGenerator, Sleep, spawn
 from .random import (RandomRouter, bounded_normal, derive_seed, exponential,
                      lognormal_from_median, pareto,
                      sample_without_replacement, shuffled, weighted_choice)
@@ -25,13 +22,8 @@ __all__ = [
     "SimulationError",
     "SchedulingError",
     "EngineStoppedError",
-    "ProcessError",
     "Event",
     "EventQueue",
-    "Process",
-    "ProcessGenerator",
-    "Sleep",
-    "spawn",
     "RandomRouter",
     "derive_seed",
     "exponential",

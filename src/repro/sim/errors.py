@@ -18,7 +18,3 @@ class SchedulingError(SimulationError):
 
 class EngineStoppedError(SimulationError):
     """An operation required a running engine but the engine has stopped."""
-
-
-class ProcessError(SimulationError):
-    """A simulation process misbehaved (e.g. yielded an unknown command)."""

@@ -56,14 +56,6 @@ class ChunkBuffer:
             return False
         return chunk <= self.have_until or chunk in self._complete_ahead
 
-    def has_subpiece(self, chunk: int, subpiece: int) -> bool:
-        if self.has_chunk(chunk):
-            return True
-        received = self._partial.get(chunk)
-        if not received or subpiece < 0:
-            return False
-        return (received >> subpiece) & 1 == 1
-
     def has_range(self, chunk: int, first: int, last: int) -> bool:
         """True when every sub-piece in ``first..last`` has arrived."""
         if self.has_chunk(chunk):

@@ -92,8 +92,3 @@ class ChunkGeometry:
         """
         elapsed = now - channel_start
         return math.floor(elapsed / self.chunk_seconds) - 1
-
-    def chunk_playout_time(self, chunk: int, playout_start: float,
-                           first_chunk: int) -> float:
-        """Wall-clock time at which ``chunk`` must be ready for playout."""
-        return playout_start + (chunk - first_chunk) * self.chunk_seconds

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 from typing import Optional
 
-from ..obs import INFO, Instrumentation
+from ..obs import Instrumentation
 from ..obs import resolve as resolve_obs
 from .buffer import ChunkBuffer
 from .chunks import ChunkGeometry
@@ -56,7 +56,6 @@ class PlaybackMonitor:
         self.deadlines_missed = 0
         # Observability: no-op by default; series shared per tag set.
         obs = resolve_obs(obs)
-        self._trace = obs.trace
         self._spans = obs.spans
         self._actor = actor
         self._span_parent = span_parent
@@ -182,19 +181,11 @@ class PlaybackMonitor:
             self._stall_span = self._spans.start_span(
                 "stall", "playback", now, parent=self._span_parent,
                 actor=self._actor, chunk=self.playout_chunk + 1)
-        if self._trace.enabled_for(INFO):
-            self._trace.emit(now, INFO, "playback_stall",
-                             chunk=self.playout_chunk + 1,
-                             continuity=round(self.continuity_index, 4))
 
     def _end_stall(self, now: float) -> None:
         if self._stall_began is not None:
-            duration = now - self._stall_began
-            self.stall_seconds += duration
+            self.stall_seconds += now - self._stall_began
             self._stall_began = None
-            if self._trace.enabled_for(INFO):
-                self._trace.emit(now, INFO, "playback_resume",
-                                 stalled_for=round(duration, 3))
         if self._stall_span is not None:
             self._stall_span.finish(now)
             self._stall_span = None

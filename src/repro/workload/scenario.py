@@ -26,8 +26,7 @@ from ..capture.store import TraceStore
 from ..faults import FaultInjector, FaultSchedule
 from ..network.bandwidth import ADSL, CAMPUS, AccessProfile
 from ..network.builder import Internet, build_internet
-from ..obs import (INFO, FlowLedger, FlowSpec, HeartbeatSampler,
-                   Instrumentation)
+from ..obs import FlowLedger, FlowSpec, HeartbeatSampler, Instrumentation
 from ..obs import resolve as resolve_obs
 from ..protocol.bootstrap import BootstrapServer
 from ..protocol.config import ProtocolConfig
@@ -361,13 +360,6 @@ class SessionScenario:
                 ledger = FlowLedger(deployment.internet.directory,
                                     deployment.internet.catalog, flow_spec)
                 deployment.internet.udp.set_flow_sink(ledger.sink)
-            if obs.trace.enabled_for(INFO):
-                obs.trace.emit(sim.now, INFO, "session_start",
-                               seed=cfg.seed,
-                               population=cfg.population,
-                               popularity=cfg.popularity.value,
-                               warmup=cfg.warmup, duration=cfg.duration,
-                               probes=[spec.name for spec in cfg.probes])
             session_span = None
             if obs.spans.enabled:
                 session_span = obs.spans.start_span(
@@ -451,11 +443,9 @@ class SessionScenario:
                 probes[spec.name] = ProbeResult(
                     spec=spec, peer=peer, trace=trace,
                     report=match_all(trace))
-        if obs.trace.enabled_for(INFO):
-            obs.trace.emit(sim.now, INFO, "session_end", seed=cfg.seed,
-                           events_executed=sim.events_executed,
-                           viewers_spawned=manager.total_spawned,
-                           viewers_departed=manager.total_departed)
+            if obs.enabled:
+                # After the probes' Goodbyes: the last datagrams sent.
+                deployment.internet.udp.fold_counters(obs.metrics)
         if session_span is not None:
             session_span.finish(sim.now,
                                 events_executed=sim.events_executed,

@@ -12,6 +12,8 @@ from repro.cli import (build_flows_parser, build_instrumentation,
                        build_status_parser, build_top_parser, main)
 from repro.experiments import ALL_EXPERIMENT_IDS, EXPERIMENT_DESCRIPTIONS
 
+from .test_obs import RETIRED_TRACE_KINDS, TRACE_KINDS
+
 
 class TestParser:
     def test_defaults(self):
@@ -237,8 +239,8 @@ class TestMain:
                 record = json.loads(line)
                 assert {"t", "level", "event"} <= set(record)
                 events.add(record["event"])
-        assert "session_start" in events
-        assert "session_end" in events
+        assert events and events <= TRACE_KINDS
+        assert not events & RETIRED_TRACE_KINDS
 
     def test_metrics_csv_extension_writes_csv(self, tmp_path, capsys):
         metrics_path = tmp_path / "m.csv"

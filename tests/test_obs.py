@@ -8,17 +8,38 @@ import logging
 import pytest
 
 from repro.experiments import Scale, WorkloadBank
+from repro.faults import FaultSchedule, PeerBlackout, ServerOutage
 from repro.obs import (DEBUG, ERROR, INFO, NULL_INSTRUMENTATION,
                        NULL_REGISTRY, NULL_SINK, WARNING, Counter,
                        EngineProfiler, Gauge, Histogram, Instrumentation,
-                       JsonlSink, LoggingSink, MetricsRegistry, NullSink,
-                       ProgressBus, RingSink, TeeSink, level_from_name,
-                       metrics_to_records, read_metrics_csv,
-                       read_metrics_jsonl, read_progress,
+                       JsonlSink, LoggingSink, MemorySpanSink,
+                       MetricsRegistry, NullSink, ProgressBus, RingSink,
+                       TeeSink, level_from_name, metrics_to_records,
+                       read_metrics_csv, read_metrics_jsonl, read_progress,
                        read_trace_jsonl, resolve, strip_wall_metrics,
                        write_metrics_csv, write_metrics_jsonl)
 from repro.obs.profiler import HEARTBEAT_INTERVAL
 from repro.sim import Simulator
+from repro.workload.scenario import ScenarioConfig, SessionScenario
+
+#: The trace events no span or metric carries: the whole trace schema.
+TRACE_KINDS = frozenset({
+    "peer_depart", "playback_resync", "tracker_rebootstrap",
+    "neighbor_banned", "adversary_attached", "path_loss", "fault_drop",
+    "resilience_report"})
+
+#: Trace events whose fact a span or metric carries; none is emitted.
+RETIRED_TRACE_KINDS = frozenset({
+    "session_start", "session_end", "peer_join", "peer_active",
+    "playback_stall", "playback_resume", "fault_begin", "fault_end",
+    "uplink_tail_drop", "data_request_timeout", "poisoned_reply",
+    "chaos_report"})
+
+#: The transport's plain counters, published as ``net.<name>``.
+TRANSPORT_COUNTERS = (
+    "datagrams_sent", "datagrams_delivered", "datagrams_lost",
+    "datagrams_dropped_uplink", "datagrams_dropped_offline",
+    "datagrams_dropped_fault", "bytes_delivered")
 
 
 # ----------------------------------------------------------------------
@@ -486,7 +507,8 @@ class TestInstrumentedSession:
         assert {"sim", "net", "proto", "streaming"} <= layers
         assert len(obs.metrics.names()) >= 10
         events = {r["event"] for r in obs.trace.records}
-        assert {"session_start", "session_end", "peer_join"} <= events
+        assert events and events <= TRACE_KINDS
+        assert not events & RETIRED_TRACE_KINDS
         assert "heartbeat" in {r["kind"] for r in progress}
 
     def test_heartbeats_go_to_the_progress_bus_only(self, observed):
@@ -501,3 +523,56 @@ class TestInstrumentedSession:
     def test_same_seed_gives_identical_dumps(self, observed):
         assert _stripped_dump(observed[0]) == \
             _stripped_dump(_observed_session()[0])
+
+
+class TestOneCarrierPerFact:
+    """A fact a span or metric carries is not traced again, and the
+    transport publishes each datagram count once, at session end."""
+
+    @pytest.fixture(scope="class")
+    def faulted(self):
+        obs = Instrumentation(metrics=MetricsRegistry(),
+                              trace=RingSink(capacity=100_000),
+                              spans=MemorySpanSink())
+        bound = []
+        schedule = FaultSchedule(events=(
+            ServerOutage(target="source", start=130.0, duration=30.0),
+            PeerBlackout(isp_name="ChinaTelecom", start=200.0,
+                         fraction=0.5)))
+        config = ScenarioConfig(
+            seed=13, population=18, warmup=120.0, duration=200.0,
+            faults=schedule, instrumentation=obs,
+            run_hook=lambda *_: bound.extend(obs.metrics.names()))
+        result = SessionScenario(config).run()
+        return obs, result, bound
+
+    def test_spans_not_the_trace_carry_transactions(self, faulted):
+        obs, _, _ = faulted
+        events = {r["event"] for r in obs.trace.records}
+        assert events and events <= TRACE_KINDS
+        assert not events & RETIRED_TRACE_KINDS
+        names = {span.name for span in obs.spans.spans}
+        assert {"session", "channel_join", "stall", "deadline_miss",
+                "fault:server_outage", "fault:peer_blackout",
+                "uplink_tail_drop"} <= names
+        assert any(span.name == "data_request"
+                   and span.status == "timeout"
+                   for span in obs.spans.spans)
+
+    def test_transport_counters_fold_once_at_session_end(self, faulted):
+        obs, result, bound = faulted
+        # The hook ran once the transport was built: it bound none of
+        # the per-datagram series.
+        assert bound
+        assert [name for name in bound
+                if name.startswith("net.datagrams_")
+                or name == "net.bytes_delivered"] == []
+        # The probe's leave sends a Goodbye to every tracker after the
+        # simulation stops; the fold comes after it.
+        assert result.probe().peer.trackers
+        udp = result.deployment.internet.udp
+        for name in TRANSPORT_COUNTERS:
+            assert obs.metrics.get(f"net.{name}").value \
+                == getattr(udp, name), name
+        assert udp.datagrams_dropped_uplink > 0
+        assert udp.datagrams_dropped_fault > 0

@@ -132,6 +132,27 @@ class TestCheckpoint:
             tiny_sweep(checkpoint=CheckpointPolicy(path=str(root),
                                                    resume=True))
 
+    def test_cell_written_without_event_count_replays_with_zero(
+            self, serial, tmp_path):
+        # Cells checkpointed before cells carried their engine event
+        # count still resume, with the count read as 0.
+        assert all(outcome["events_executed"] > 0
+                   for outcome in serial.outcomes.values())
+        root = tmp_path / "ckpt"
+        digest = resilience_config_digest(
+            resilience_params(Scale.SMALL, 7, FRACTIONS, BEHAVIORS))
+        store = UnitCheckpointStore(root)
+        store.initialize(digest, seed=7, days=0, total_units=2)
+        for index, outcome in serial.outcomes.items():
+            legacy = dict(outcome)
+            del legacy["events_executed"]
+            store.write_unit(("cell", index), digest, legacy)
+        resumed = tiny_sweep(checkpoint=CheckpointPolicy(path=str(root),
+                                                         resume=True))
+        assert resumed.render() == serial.render()
+        assert [outcome["events_executed"]
+                for outcome in resumed.outcomes.values()] == [0, 0]
+
     def test_other_experiments_still_reject_checkpoint(self, tmp_path):
         with pytest.raises(ValueError, match="only apply"):
             run_experiment("table1", checkpoint=CheckpointPolicy(

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.sim import (EngineStoppedError, SchedulingError, Simulator,
-                       Sleep, spawn)
+from repro.sim import EngineStoppedError, SchedulingError, Simulator
 
 
 class TestClockAndScheduling:
@@ -208,65 +207,6 @@ class TestTimers:
         sim = Simulator()
         with pytest.raises(SchedulingError):
             sim.every(0.0, lambda: None)
-
-
-class TestProcesses:
-    def test_process_sleeps(self):
-        sim = Simulator()
-        seen = []
-
-        def script():
-            seen.append(("start", sim.now))
-            yield Sleep(5.0)
-            seen.append(("middle", sim.now))
-            yield 3.0  # bare numbers are sleeps too
-            seen.append(("end", sim.now))
-
-        process = spawn(sim, script)
-        sim.run()
-        assert seen == [("start", 0.0), ("middle", 5.0), ("end", 8.0)]
-        assert process.finished
-
-    def test_spawn_with_delay(self):
-        sim = Simulator()
-        seen = []
-
-        def script():
-            seen.append(sim.now)
-            yield Sleep(1.0)
-
-        spawn(sim, script, delay=4.0)
-        sim.run()
-        assert seen == [4.0]
-
-    def test_cancel_process(self):
-        sim = Simulator()
-        seen = []
-
-        def script():
-            seen.append("a")
-            yield Sleep(5.0)
-            seen.append("b")
-
-        process = spawn(sim, script)
-        sim.run_until(1.0)
-        process.cancel()
-        sim.run()
-        assert seen == ["a"]
-        assert process.cancelled
-        assert not process.alive
-
-    def test_process_error_propagates(self):
-        sim = Simulator()
-
-        def script():
-            yield Sleep(1.0)
-            raise RuntimeError("boom")
-
-        process = spawn(sim, script)
-        with pytest.raises(RuntimeError):
-            sim.run()
-        assert process.error is not None
 
 
 class TestDeterminism:
@@ -515,22 +455,6 @@ class TestPooledPost:
 
 
 class TestProcessValidation:
-    def test_bad_yield_raises_process_error(self):
-        from repro.sim import ProcessError, Simulator, spawn
-
-        def script():
-            yield "not-a-command"
-
-        sim = Simulator()
-        spawn(sim, script)
-        with pytest.raises(ProcessError):
-            sim.run()
-
-    def test_negative_sleep_rejected(self):
-        from repro.sim import ProcessError, Sleep
-        with pytest.raises(ProcessError):
-            Sleep(-1.0)
-
     def test_timer_stopped_property(self):
         sim = Simulator()
         timer = sim.every(1.0, lambda: None)

@@ -16,9 +16,8 @@ import pytest
 from repro.cli import main
 from repro.obs import (NULL_SPAN, NULL_SPAN_SINK, ChromeTraceSink,
                        Instrumentation, JsonlSpanSink, MemorySpanSink,
-                       TeeSpanSink, read_chrome_trace,
-                       read_spans_jsonl, resolve, span_categories,
-                       validate_chrome_trace)
+                       read_chrome_trace, read_spans_jsonl, resolve,
+                       span_categories, validate_chrome_trace)
 from repro.streaming import Popularity
 from repro.workload.popularity import popular_channel_mix
 from repro.workload.scenario import (TELE_PROBE, ScenarioConfig,
@@ -182,22 +181,6 @@ class TestChromeTraceSink:
         events = read_chrome_trace(str(path))
         assert validate_chrome_trace(events) == []
         assert span_categories(events) == []
-
-
-class TestTeeSink:
-    def test_children_share_span_identity(self):
-        a, b = MemorySpanSink(), MemorySpanSink()
-        tee = TeeSpanSink([a, b])
-        root = tee.start_span("r", "c", 0.0)
-        tee.start_span("child", "c", 1.0, parent=root).finish(2.0)
-        root.finish(3.0)
-        assert [s.span_id for s in a.spans] == \
-            [s.span_id for s in b.spans]
-        assert a.spans[0].parent_id == root.span_id
-
-    def test_requires_children(self):
-        with pytest.raises(ValueError):
-            TeeSpanSink([])
 
 
 # ----------------------------------------------------------------------
